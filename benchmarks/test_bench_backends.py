@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.parameters import paper_parameters
 from repro.core.policies import LBP1
-from repro.montecarlo.parallel import run_monte_carlo_auto
+from repro.montecarlo.engine import EngineRequest, run_engine
 
 WORKLOAD = (100, 60)
 
@@ -18,15 +18,14 @@ WORKLOAD = (100, 60)
 @pytest.mark.benchmark(group="backends")
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_backend_throughput(benchmark, bench_once, backend):
-    estimate = bench_once(
-        benchmark,
-        run_monte_carlo_auto,
-        paper_parameters(),
-        LBP1(0.35),
-        WORKLOAD,
-        500,
+    request = EngineRequest(
+        params=paper_parameters(),
+        policy=LBP1(0.35),
+        workload=WORKLOAD,
+        num_realisations=500,
         seed=111,
         backend=backend,
     )
+    estimate = bench_once(benchmark, run_engine, request).estimate
     assert estimate.num_realisations == 500
     assert estimate.mean_completion_time == pytest.approx(115.3, rel=0.08)

@@ -4,39 +4,33 @@ import pytest
 
 from repro.core.parameters import paper_parameters
 from repro.core.policies import LBP2
-from repro.montecarlo.parallel import run_monte_carlo_parallel
-from repro.montecarlo.runner import run_monte_carlo
+from repro.montecarlo.engine import EngineRequest, run_engine
 
 WORKLOAD = (100, 60)
+
+
+def _request(realisations, **execution):
+    return EngineRequest(
+        params=paper_parameters(),
+        policy=LBP2(1.0),
+        workload=WORKLOAD,
+        num_realisations=realisations,
+        seed=111,
+        **execution,
+    )
 
 
 @pytest.mark.benchmark(group="mc-scaling")
 @pytest.mark.parametrize("realisations", [100, 500])
 def test_serial_monte_carlo(benchmark, bench_once, realisations):
-    estimate = bench_once(
-        benchmark,
-        run_monte_carlo,
-        paper_parameters(),
-        LBP2(1.0),
-        WORKLOAD,
-        realisations,
-        seed=111,
-    )
+    estimate = bench_once(benchmark, run_engine, _request(realisations)).estimate
     assert estimate.num_realisations == realisations
     assert estimate.mean_completion_time == pytest.approx(112.43, rel=0.08)
 
 
 @pytest.mark.benchmark(group="mc-scaling")
 def test_parallel_monte_carlo(benchmark, bench_once):
-    estimate = bench_once(
-        benchmark,
-        run_monte_carlo_parallel,
-        paper_parameters(),
-        LBP2(1.0),
-        WORKLOAD,
-        500,
-        seed=111,
-        max_workers=4,
-    )
+    request = _request(500, executor="process", workers=4)
+    estimate = bench_once(benchmark, run_engine, request).estimate
     assert estimate.num_realisations == 500
     assert estimate.mean_completion_time == pytest.approx(112.43, rel=0.08)

@@ -78,7 +78,6 @@ _EXPORTS = {
         "delay_sweep",
         "gain_sweep",
         "run_engine",
-        "run_monte_carlo",
     ),
     "repro.sim": ("Environment", "RandomStreams"),
     "repro.backends": (

@@ -28,7 +28,6 @@ Usage::
     python -m repro serve --port 8077             # HTTP results service
     python -m repro worker --connect http://HOST:8077   # join the shard fleet
     python -m repro fleet --connect http://HOST:8077 --watch 2  # fleet table
-    python -m repro store migrate                 # v1 block docs -> v2 segments
     python -m repro serve --log-level debug       # shared logging formatter
     python -m repro scenario list --json          # machine-readable catalog
 
@@ -700,19 +699,13 @@ def _serve_main(argv) -> int:
                         help="port to bind; 0 picks a free one (default 8077)")
     parser.add_argument("--workers", type=int, default=None,
                         help="size of the shared Monte-Carlo process pool")
-    parser.add_argument("--wire", choices=["auto", "json"], default="auto",
-                        help="worker-endpoint encoding: auto negotiates "
-                        "binary frames with advertising workers, json pins "
-                        "plain JSON (default auto)")
     _add_log_level(parser)
     args = parser.parse_args(argv)
     _setup_logging(args.log_level)
 
     from repro.service.app import serve
 
-    return serve(
-        host=args.host, port=args.port, workers=args.workers, wire=args.wire
-    )
+    return serve(host=args.host, port=args.port, workers=args.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -739,17 +732,13 @@ def _worker_main(argv) -> int:
                         help="seconds between idle polls (default 0.2; "
                         "empty polls back off exponentially from here)")
     parser.add_argument("--batch", type=int, default=None,
-                        help="work items to claim per round-trip "
-                        "(default 4; older services hand out one)")
+                        help="work items to claim per round-trip (default 4)")
     parser.add_argument("--max-idle", type=float, default=None,
                         help="exit cleanly after this many idle seconds "
                         "(default: run until interrupted)")
     parser.add_argument("--once", action="store_true",
-                        help="exit after executing one work item")
-    parser.add_argument("--wire", choices=["auto", "json"], default="auto",
-                        help="claim/result encoding: auto upgrades to "
-                        "binary frames when the board answers in them, "
-                        "json pins plain JSON (default auto)")
+                        help="exit after the first claimed batch (up to "
+                        "--batch items) that completes at least one item")
     _add_log_level(parser)
     args = parser.parse_args(argv)
 
@@ -764,52 +753,12 @@ def _worker_main(argv) -> int:
             poll_interval=args.poll,
             max_idle=args.max_idle,
             once=args.once,
-            wire=args.wire,
         )
         if args.batch is not None:
             kwargs["batch"] = args.batch
         return run_worker(args.connect, **kwargs)
     except KeyboardInterrupt:
         return 0
-
-
-# ---------------------------------------------------------------------------
-# `python -m repro store ...` subcommand
-# ---------------------------------------------------------------------------
-
-
-def _store_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro store",
-        description="Inspect and maintain the shard block store (completed "
-        "seed blocks under <cache>/shards).  Current layout is v2: binary "
-        "frames appended to columnar segment files; legacy v1 per-block "
-        "JSON documents remain readable until migrated.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    migrate_p = sub.add_parser(
-        "migrate",
-        help="rewrite legacy v1 JSON block documents into v2 segments",
-    )
-    migrate_p.add_argument(
-        "--root", default=None,
-        help="cache root to migrate (default: REPRO_CACHE_DIR or "
-        "~/.cache/repro)",
-    )
-    _add_log_level(parser)
-    args = parser.parse_args(argv)
-    _setup_logging(args.log_level)
-
-    from repro.distributed.store import ShardStore
-
-    store = ShardStore(root=args.root)
-    outcome = store.migrate()
-    print(
-        f"shard store at {store.root}: migrated {outcome['migrated']} "
-        f"block(s) into segments, skipped {outcome['skipped']} "
-        f"(unreadable/stale, left in place)"
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -1247,8 +1196,6 @@ def main(argv=None) -> int:
         return _worker_main(argv[1:])
     if argv and argv[0] == "fleet":
         return _fleet_main(argv[1:])
-    if argv and argv[0] == "store":
-        return _store_main(argv[1:])
     if argv and argv[0] == "history":
         _setup_logging()
         return _history_main(argv[1:])

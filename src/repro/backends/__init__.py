@@ -15,7 +15,7 @@ computed:
   a KS test and emits machine-readable ``BENCH_results.json``.
 
 Select a backend anywhere Monte-Carlo runs: ``MonteCarloRunner(...,
-backend="vectorized")``, ``run_monte_carlo_auto(..., backend=...)``,
+backend="vectorized")``, ``EngineRequest(..., backend=...)``,
 ``ScenarioSpec(backend=...)``, or ``--backend`` on the CLI.
 
 The registry lives in :mod:`repro.backends.base`; the names below are

@@ -19,8 +19,8 @@ ship with the package:
 
 Backends register themselves by name; everything that runs Monte-Carlo —
 :class:`~repro.montecarlo.runner.MonteCarloRunner`,
-:func:`~repro.montecarlo.parallel.run_monte_carlo_auto`, the scenario
-orchestrator and the CLI — accepts a backend name and resolves it here.
+:func:`~repro.montecarlo.engine.run_engine`, the scenario orchestrator and
+the CLI — accepts a backend name and resolves it here.
 This module deliberately imports none of the heavy numerical stack, so the
 CLI can enumerate backend names without paying for scipy.
 """

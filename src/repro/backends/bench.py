@@ -836,7 +836,7 @@ def compare_distributed_reports(
 #: JSON schema version of ``BENCH_serialization.json``.
 SERIALIZATION_SCHEMA_VERSION = 1
 
-#: The gates CI applies to the gate case (the protocol-2 result batch):
+#: The gates CI applies to the gate case (the batched result post):
 #: frames must be at least this much smaller than the JSON wire rendering
 #: and decode at least this much faster.
 DEFAULT_MIN_SIZE_RATIO = 3.0
@@ -915,7 +915,7 @@ class SerializationBenchmarkReport:
 def _serialization_payloads() -> List[Tuple[str, bool, Dict[str, object]]]:
     """Representative worker-wire payloads: ``(label, is_gate, payload)``.
 
-    The gate case is the protocol-2 result batch exactly as the committed
+    The gate case is the batched result post exactly as the committed
     distributed benchmark produces it — 8 single-block work items of
     250-sample blocks posted in one ``/results`` round-trip.  The smaller
     shapes are reported for context only: their decode cost is dominated

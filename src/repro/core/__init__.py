@@ -38,7 +38,6 @@ _EXPORTS = {
         "SystemParameters",
         "TransferDelayModel",
         "paper_parameters",
-        "paper_two_node_parameters",
     ),
     "repro.core.policies": (
         "LBP1",
@@ -107,5 +106,4 @@ __all__ = [
     "optimal_gain_lbp1",
     "optimal_gain_no_failure",
     "paper_parameters",
-    "paper_two_node_parameters",
 ]

@@ -418,12 +418,6 @@ def paper_parameters(
     )
 
 
-# Backwards-compatible alias used in examples and experiment drivers.
-def paper_two_node_parameters(**kwargs) -> SystemParameters:
-    """Alias of :func:`paper_parameters` (kept for API clarity in examples)."""
-    return paper_parameters(**kwargs)
-
-
 def homogeneous_parameters(
     num_nodes: int,
     service_rate: float,

@@ -60,7 +60,7 @@ from typing import Any, List, Tuple
 
 from repro.obs.metrics import REGISTRY
 
-#: MIME type negotiated on the worker board (Accept / Content-Type).
+#: MIME type of the worker board's claim/result bodies (Content-Type).
 FRAME_CONTENT_TYPE = "application/x-repro-frame"
 
 #: First bytes of every frame.

@@ -1,23 +1,19 @@
 """Content-addressed store for completed seed blocks (shard-level caching).
 
 A much lighter cousin of :class:`repro.scenarios.cache.ResultCache`,
-keyed by :func:`repro.distributed.plan.block_key`.  Two on-disk layouts
-coexist:
-
-* **v2 (columnar segments, current)** — blocks are appended as binary
-  frames (:mod:`repro.distributed.frames`) to per-writer segment files
-  under ``segments/``, one ``<writer>.seg`` data file plus a
-  ``<writer>.idx`` sidecar holding one JSON line per entry
-  (``{"key", "offset", "length"}``).  Reads memory-map the segment and
-  decode the referenced byte range directly — re-sharding and delta
-  growth become near-zero-copy buffer reads instead of one
-  ``json.loads`` per block.  Appends are crash-safe by ordering: the
-  frame is written and flushed before its index line, so a torn write
-  leaves either an unreferenced frame or a partial (newline-less) index
-  line, both of which readers skip.
-* **v1 (one JSON file per block, legacy)** — ``<key[:2]>/<key>.json``
-  documents, still read transparently so existing caches keep their
-  blocks; ``repro store migrate`` rewrites them into segments.
+keyed by :func:`repro.distributed.plan.block_key`.  Blocks are appended
+as binary frames (:mod:`repro.distributed.frames`) to per-writer segment
+files under ``segments/``, one ``<writer>.seg`` data file plus a
+``<writer>.idx`` sidecar holding one JSON line per entry
+(``{"key", "offset", "length"}``).  Reads memory-map the segment and
+decode the referenced byte range directly — re-sharding and delta growth
+become near-zero-copy buffer reads instead of one ``json.loads`` per
+block.  Appends are crash-safe by ordering: the frame is written and
+flushed before its index line, so a torn write leaves either an
+unreferenced frame or a partial (newline-less) index line, both of which
+readers skip.  Anything else under the store root (e.g. per-block JSON
+documents from older releases) is ignored: a miss recomputes the block
+bit-identically.
 
 The store lives under ``<cache root>/shards/`` so evicting the scenario
 cache and the shard cache together is one directory removal, and shares
@@ -31,6 +27,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import shutil
 import threading
 import uuid
 from pathlib import Path
@@ -66,9 +63,6 @@ _CACHE_READ_BYTES = REGISTRY.counter(
 #: Version of the block payload layout; mismatches read as misses.
 BLOCK_FORMAT_VERSION = 1
 
-#: Version of the on-disk container layout (v1 JSON files, v2 segments).
-STORE_FORMAT_VERSION = 2
-
 _SEGMENT_DIR = "segments"
 
 
@@ -88,13 +82,8 @@ class ShardStore:
         self._index: Dict[str, Tuple[Path, int, int]] = {}
         self._idx_consumed: Dict[str, int] = {}
         self._segment: Optional[Path] = None
-        self._sweep_stale_staging()
 
     # -- paths -------------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        """The legacy (v1) JSON document path for ``key``."""
-        return self.root / key[:2] / f"{key}.json"
 
     @property
     def segment_dir(self) -> Path:
@@ -108,19 +97,7 @@ class ShardStore:
             self._segment = self.segment_dir / f"{name}.seg"
         return self._segment
 
-    def _sweep_stale_staging(self) -> None:
-        """Remove ``.{key}-*`` staging files a crashed v1 writer left
-        behind (they are invisible to reads but pin disk space)."""
-        if not self.root.is_dir():
-            return
-        for shard_dir in self.root.glob("??"):
-            for stale in shard_dir.glob(".*"):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-
-    # -- the v2 index ------------------------------------------------------
+    # -- the index ---------------------------------------------------------
 
     def _refresh_index(self) -> None:
         """Fold any new index lines into the in-memory key map.
@@ -164,7 +141,7 @@ class ShardStore:
                     self._index[key] = (segment, offset, length)
             self._idx_consumed[idx_path.name] = consumed + len(complete) + 1
 
-    def _read_v2(self, key: str) -> Optional[Dict[str, Any]]:
+    def _read(self, key: str) -> Optional[Dict[str, Any]]:
         if key not in self._index:
             self._refresh_index()
         located = self._index.get(key)
@@ -198,39 +175,15 @@ class ShardStore:
         _CACHE_READ_BYTES.labels(store="shard").inc(length)
         return payload["block"]
 
-    # -- the legacy v1 documents -------------------------------------------
-
-    def _read_v1(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path_for(key)
-        try:
-            raw = path.read_bytes()
-            payload = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format_version") != BLOCK_FORMAT_VERSION
-        ):
-            return None
-        _CACHE_READ_BYTES.labels(store="shard").inc(len(raw))
-        return payload["block"]
-
-    def _v1_keys(self) -> set:
-        if not self.root.is_dir():
-            return set()
-        return {path.stem for path in self.root.glob("??/*.json")}
-
     # -- the public map ----------------------------------------------------
 
     def __len__(self) -> int:
         self._refresh_index()
-        return len(set(self._index) | self._v1_keys())
+        return len(self._index)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored block payload, or ``None`` (missing/corrupt/stale)."""
-        block = self._read_v2(key)
-        if block is None:
-            block = self._read_v1(key)
+        block = self._read(key)
         if block is None:
             self.misses += 1
             _CACHE_REQUESTS.labels(store="shard", outcome="miss").inc()
@@ -270,63 +223,12 @@ class ShardStore:
         return segment
 
     def clear(self) -> int:
-        """Drop every block; returns the number of keys removed."""
+        """Drop every block (the whole store root); returns the number of
+        keys removed."""
         removed = len(self)
-        if self.root.is_dir():
-            for path in self.root.glob("??/*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            # Emptied two-hex-digit directories go too (a long-lived cache
-            # root otherwise accumulates 256 empty dirs per clear).
-            for shard_dir in self.root.glob("??"):
-                try:
-                    shard_dir.rmdir()
-                except OSError:
-                    pass
-            segment_dir = self.segment_dir
-            if segment_dir.is_dir():
-                for path in segment_dir.iterdir():
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                try:
-                    segment_dir.rmdir()
-                except OSError:
-                    pass
+        shutil.rmtree(self.root, ignore_errors=True)
         with self._lock:
             self._index.clear()
             self._idx_consumed.clear()
             self._segment = None
         return removed
-
-    def migrate(self) -> Dict[str, int]:
-        """Rewrite every legacy v1 JSON document into v2 segments.
-
-        Valid entries are appended to this writer's segment and their v1
-        files removed; unreadable or stale documents are left in place
-        (they already read as misses) and counted as skipped.
-        """
-        migrated = 0
-        skipped = 0
-        if self.root.is_dir():
-            for path in sorted(self.root.glob("??/*.json")):
-                key = path.stem
-                block = self._read_v1(key)
-                if block is None:
-                    skipped += 1
-                    continue
-                self.put(key, block)
-                try:
-                    path.unlink()
-                    migrated += 1
-                except OSError:
-                    skipped += 1
-            for shard_dir in self.root.glob("??"):
-                try:
-                    shard_dir.rmdir()
-                except OSError:
-                    pass
-        return {"migrated": migrated, "skipped": skipped}

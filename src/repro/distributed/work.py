@@ -43,6 +43,11 @@ from repro.obs import propagate, trace
 #: ignore them.
 WORK_ITEM_VERSION = 1
 
+#: Work items a ``repro worker`` claims per round-trip by default — also
+#: the number the service's scheduler keeps in flight per worker slot, so
+#: a full batch is actually queued when the claim arrives.
+DEFAULT_CLAIM_BATCH = 4
+
 
 def warm_block_runtime() -> float:
     """Pre-import everything a block execution touches; returns the seconds

@@ -14,9 +14,8 @@ Three fleet-efficiency mechanics live here:
   before the first claim, so numpy, the spec machinery and the backends
   are imported while the worker is idle, not inside its first shard;
 * **batched claims** — one claim round-trip asks for up to ``batch`` work
-  items and one result post ships every outcome of the batch (older
-  services transparently degrade to one item per claim: the worker speaks
-  the batched protocol, the reply tells it what the board understood);
+  items and one result post ships every outcome of the batch, both as
+  binary frames;
 * **backoff** — empty claims back off exponentially with jitter (capped at
   :data:`CLAIM_BACKOFF_CAP`), so a large idle fleet stops hammering
   ``/v1/workers/{id}/claim`` in lockstep.
@@ -34,6 +33,7 @@ import time
 from typing import List, Optional
 
 from repro.distributed.work import (
+    DEFAULT_CLAIM_BATCH,
     execute_work_item,
     shard_outcome_error,
     warm_block_runtime,
@@ -73,10 +73,6 @@ _BUSY_SECONDS = REGISTRY.counter(
 #: Seconds between telemetry piggybacks on *empty* claims; result posts
 #: always carry telemetry (results are the interesting moments).
 TELEMETRY_INTERVAL = 5.0
-
-#: Work items requested per claim round-trip unless the operator says
-#: otherwise (``repro worker --batch``).
-DEFAULT_CLAIM_BATCH = 4
 
 #: Hard ceiling on the empty-claim backoff delay, seconds.
 CLAIM_BACKOFF_CAP = 2.0
@@ -168,24 +164,21 @@ def run_worker(
     max_idle: Optional[float] = None,
     once: bool = False,
     batch: int = DEFAULT_CLAIM_BATCH,
-    wire: str = "auto",
     log=print,
 ) -> int:
     """Serve shard work items from the service at ``connect`` until stopped.
 
     ``max_idle`` exits cleanly after that many seconds without work (used
-    by tests and batch jobs); ``once`` exits after the first executed
-    batch.  ``batch`` is the number of work items requested per claim
-    round-trip (the service may hand back fewer).  ``wire`` picks the
-    claim/result encoding: ``"auto"`` negotiates binary frames with boards
-    that speak them (JSON otherwise), ``"json"`` pins plain JSON.  Returns
-    a process exit code.
+    by tests and batch jobs); ``once`` exits after the first batch that
+    completes at least one item.  ``batch`` is the number of work items
+    requested per claim round-trip (the service may hand back fewer).
+    Returns a process exit code.
     """
     from repro.service.client import ServiceClient, ServiceError
 
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch!r}")
-    client = ServiceClient(connect, timeout=30.0, wire=wire)
+    client = ServiceClient(connect, timeout=30.0)
     me = worker_name(name)
     telemetry = _Telemetry(me)
     backoff = ClaimBackoff(base=max(poll_interval, 0.05))
@@ -218,24 +211,17 @@ def run_worker(
     idle_since = time.monotonic()
     executed = 0
     claim_seq = 0
-    frames_logged = False
     while True:
         claim_started = time.monotonic()
         claim_seq += 1
         try:
-            claimed = client.claim_work_batch(
+            items = client.claim_work_batch(
                 worker_id,
                 batch=batch,
                 token=f"{worker_id}:{claim_seq}",
                 telemetry=telemetry.payload_if_due(),
             )
             _CLAIM_SECONDS.observe(time.monotonic() - claim_started)
-            if not frames_logged and client._peer_speaks_frames:
-                frames_logged = True
-                log(
-                    f"repro worker {me}: wire upgraded to binary frames",
-                    flush=True,
-                )
         except ServiceError as error:
             _CLAIMS.labels(outcome="error").inc()
             if error.status == 404:
@@ -260,7 +246,6 @@ def run_worker(
             time.sleep(max(poll_interval, 0.5))
             continue
 
-        items = claimed["items"]
         if not items:
             _CLAIMS.labels(outcome="empty").inc()
             if max_idle is not None and time.monotonic() - idle_since > max_idle:
@@ -274,8 +259,7 @@ def run_worker(
         backoff.reset()
         idle_since = time.monotonic()
 
-        # Execute the whole batch, then ship every outcome in one post
-        # (protocol >= 2) or one post per item (a v1 service).
+        # Execute the whole batch, then ship every outcome in one post.
         outcomes: List[dict] = []
         batch_failed = 0
         for item in items:
@@ -305,19 +289,9 @@ def run_worker(
             outcomes.append(outcome)
 
         try:
-            if claimed["protocol"] >= 2:
-                client.post_work_results(
-                    worker_id, outcomes, telemetry=telemetry.payload()
-                )
-            else:
-                for outcome in outcomes:
-                    client.post_work_result(
-                        worker_id,
-                        item_id=outcome["id"],
-                        result=outcome.get("result"),
-                        error=outcome.get("error"),
-                        telemetry=telemetry.payload(),
-                    )
+            client.post_work_results(
+                worker_id, outcomes, telemetry=telemetry.payload()
+            )
         except (ServiceError, OSError) as error:
             # The results are lost (the scheduler's shard timeout will
             # reassign them); the worker itself survives and keeps polling.

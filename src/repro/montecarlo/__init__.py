@@ -10,16 +10,14 @@ package provides the corresponding machinery on top of
   (inline, process pool, shared futures pool, or the service's remote
   worker fleet) and merged exactly.  Serial, pooled, vectorized and
   sharded runs are all the same pipeline with different knobs;
-* :mod:`repro.montecarlo.runner` — the per-block execution primitive
-  (:class:`MonteCarloRunner`) and the legacy ``run_monte_carlo`` shim;
+* :mod:`repro.montecarlo.runner` — the estimate type and the per-block
+  execution primitive (:class:`MonteCarloRunner`);
 * :mod:`repro.montecarlo.statistics` — summary statistics, mergeable
   accumulators (exact-sum moments, histograms, quantile sketches) and
   empirical CDFs;
 * :mod:`repro.montecarlo.sweep` — gain sweeps (Fig. 3), delay sweeps
   (Table 3) and policy comparisons (Tables 1–2), all routed through the
   engine;
-* :mod:`repro.montecarlo.parallel` — deprecated process-pool shims kept
-  for backwards compatibility;
 * :mod:`repro.montecarlo.pooling` — the shared pool-size cap.
 
 Re-exports are lazy (PEP 562): importing this package costs nothing, which
@@ -35,15 +33,10 @@ _EXPORTS = {
         "EngineRequest",
         "run_engine",
     ),
-    "repro.montecarlo.parallel": (
-        "run_monte_carlo_auto",
-        "run_monte_carlo_parallel",
-    ),
     "repro.montecarlo.pooling": ("cap_pool_size",),
     "repro.montecarlo.runner": (
         "MonteCarloEstimate",
         "MonteCarloRunner",
-        "run_monte_carlo",
     ),
     "repro.montecarlo.statistics": (
         "ExactSum",

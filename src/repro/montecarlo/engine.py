@@ -38,7 +38,6 @@ no block cache.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 from statistics import median
 from time import perf_counter
@@ -714,29 +713,3 @@ def _attribution_ledger(
         "merge_seconds": merge_seconds,
         "queue_wait_seconds": queue_wait / slots,
     }
-
-
-# ---------------------------------------------------------------------------
-# Legacy-shim support
-# ---------------------------------------------------------------------------
-
-#: Legacy entry points that already warned this process (warn exactly once).
-_LEGACY_WARNED: set = set()
-
-
-def warn_legacy(name: str) -> None:
-    """Emit the deprecation warning for a legacy ``run_monte_carlo_*`` shim.
-
-    Each shim warns exactly once per process — loops over the old API stay
-    usable without drowning the console.
-    """
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"{name}() is a deprecated shim over the unified Monte-Carlo "
-        "engine; build an EngineRequest and call "
-        "repro.montecarlo.engine.run_engine() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

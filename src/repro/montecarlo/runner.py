@@ -13,9 +13,6 @@ backend) for a *single seed block*.  The engine calls it — through the
 Use it directly only when you need per-realisation artefacts the
 aggregating paths cannot keep (``keep_results``, traces, progress
 callbacks).
-
-:func:`run_monte_carlo` is a deprecated one-call shim that routes through
-the engine.
 """
 
 from __future__ import annotations
@@ -232,39 +229,3 @@ class MonteCarloRunner:
             confidence_level=confidence_level,
             results=kept,
         )
-
-
-def run_monte_carlo(
-    params: SystemParameters,
-    policy: LoadBalancingPolicy,
-    workload: Union[Workload, Sequence[int]],
-    num_realisations: int,
-    seed: SeedLike = None,
-    horizon: Optional[float] = None,
-    backend: Union[None, str, "ExecutionBackend"] = None,
-    **system_kwargs,
-) -> MonteCarloEstimate:
-    """One-call Monte-Carlo estimate of the mean overall completion time.
-
-    .. deprecated::
-        Thin shim over the unified engine: the ensemble is planned into
-        seed blocks and executed inline.  Build an
-        :class:`~repro.montecarlo.engine.EngineRequest` and call
-        :func:`~repro.montecarlo.engine.run_engine` directly for pooled /
-        sharded / cached execution.
-    """
-    from repro.montecarlo.engine import EngineRequest, run_engine, warn_legacy
-
-    warn_legacy("run_monte_carlo")
-    return run_engine(
-        EngineRequest(
-            params=params,
-            policy=policy,
-            workload=tuple(workload),
-            num_realisations=num_realisations,
-            seed=seed,
-            backend=backend,
-            horizon=horizon,
-            system_kwargs=system_kwargs,
-        )
-    ).estimate

@@ -17,8 +17,12 @@ Endpoint map (all JSON unless noted; ``{h}`` is a full spec content hash)::
     GET  /v1/runs/{id}         one run record plus its sentinel verdict
     GET  /v1/workers           registered shard workers (fleet view)
     POST /v1/workers           register a `repro worker` (returns worker id)
-    POST /v1/workers/{id}/claim    pull the next shard work item (or null)
-    POST /v1/workers/{id}/results  post a shard result (or structured error)
+    POST /v1/workers/{id}/claim    claim a batch of shard work items (frame)
+    POST /v1/workers/{id}/results  post a batch of shard outcomes (frame)
+
+The two worker endpoints speak binary frames
+(``application/x-repro-frame``, :mod:`repro.distributed.frames`) both
+ways; any other body is a 400, and error replies stay JSON.
 
 ``/v1/results/{h}`` speaks conditional HTTP: the response carries an
 ``ETag`` (the version-salted cache key of :func:`repro.scenarios.cache
@@ -41,6 +45,7 @@ import sys
 from typing import Any, AsyncIterator, Dict, Optional
 
 from repro._version import __version__
+from repro.distributed.frames import FRAME_CONTENT_TYPE
 from repro.obs.fleet import FleetAggregator
 from repro.obs.metrics import REGISTRY, render_many
 from repro.scenarios.cache import ResultCache
@@ -80,8 +85,8 @@ _ENDPOINTS = {
     "GET /v1/fleet": "aggregated worker telemetry (items/s, busy, claims)",
     "GET /v1/workers": "registered shard workers (fleet view)",
     "POST /v1/workers": "register a shard worker (202 + worker id)",
-    "POST /v1/workers/{id}/claim": "pull the next shard work item",
-    "POST /v1/workers/{id}/results": "post a shard result",
+    "POST /v1/workers/{id}/claim": "claim a batch of shard work items (frame)",
+    "POST /v1/workers/{id}/results": "post a batch of shard outcomes (frame)",
 }
 
 
@@ -94,7 +99,6 @@ class ResultsService:
         cache: Optional[ResultCache] = None,
         worker_timeout: Optional[float] = None,
         shard_options: Optional[Dict[str, Any]] = None,
-        frame_wire: bool = True,
     ) -> None:
         from repro.service.shards import (
             DEFAULT_SHARD_TIMEOUT,
@@ -104,9 +108,6 @@ class ResultsService:
 
         self.cache = cache if cache is not None else ResultCache()
         self.workers = workers
-        #: Answer frame-advertising workers in frames (``repro serve
-        #: --wire json`` pins the worker endpoints to plain JSON).
-        self.frame_wire = bool(frame_wire)
         self.shard_options = dict(shard_options or {})
         # Without a shard timeout a worker that dies mid-shard would hang
         # its job forever (claimed items have no other reassignment path).
@@ -143,8 +144,6 @@ class ResultsService:
     # -- handlers ----------------------------------------------------------
 
     def _register_routes(self) -> None:
-        from repro.service.shards import CLAIM_PROTOCOL_VERSION
-
         route = self.router.route
 
         @route("GET", "/")
@@ -265,123 +264,56 @@ class ResultsService:
 
         @route("POST", "/v1/workers/{worker_id}/claim")
         async def claim_work(request: Request, worker_id: str) -> Response:
-            payload = self._worker_payload(request)
-            batch: Optional[int] = None
-            token: Optional[str] = None
-            if isinstance(payload, dict):
-                self._ingest_telemetry(worker_id, payload.get("telemetry"))
-                if "batch" in payload:
-                    # A protocol-2 worker: batched claim, batched answer.
-                    try:
-                        batch = int(payload["batch"])
-                    except (TypeError, ValueError):
-                        raise HTTPError(400, "claim 'batch' must be an integer")
-                    if batch < 1:
-                        raise HTTPError(400, "claim 'batch' must be >= 1")
-                    raw_token = payload.get("token")
-                    token = None if raw_token is None else str(raw_token)
+            payload = _frame_payload(request)
+            batch = payload.get("batch")
+            if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+                raise HTTPError(
+                    400,
+                    f"a claim's {FRAME_CONTENT_TYPE} body needs an integer "
+                    "'batch' >= 1",
+                )
+            token = payload.get("token")
+            self._ingest_telemetry(worker_id, payload.get("telemetry"))
             try:
-                if batch is None:
-                    # A v1 worker: single-item claim, answered in kind.
-                    item = self.board.claim(worker_id)
-                    return self._wire_response(request, {"item": item})
                 items = self.board.claim_batch(
-                    worker_id, batch=batch, token=token
+                    worker_id,
+                    batch=batch,
+                    token=None if token is None else str(token),
                 )
             except KeyError as error:
                 raise HTTPError(404, str(error.args[0]))
-            return self._wire_response(
-                request, {"items": items, "protocol": CLAIM_PROTOCOL_VERSION}
-            )
+            return _frame_response({"items": items})
 
         @route("POST", "/v1/workers/{worker_id}/results")
-        async def post_work_result(request: Request, worker_id: str) -> Response:
-            payload = self._worker_payload(request)
-            if not isinstance(payload, dict):
-                raise HTTPError(400, "result payload must be a JSON object")
-            self._ingest_telemetry(worker_id, payload.get("telemetry"))
-            if "results" in payload:
-                # Protocol 2: one post carries the whole batch's outcomes.
-                outcomes = payload["results"]
-                if not isinstance(outcomes, list):
-                    raise HTTPError(400, "'results' must be a list of outcomes")
-                for outcome in outcomes:
-                    if not isinstance(outcome, dict) or "id" not in outcome:
-                        raise HTTPError(
-                            400, "each outcome needs at least an item 'id'"
-                        )
-                    if outcome.get("result") is None and outcome.get("error") is None:
-                        raise HTTPError(
-                            400, "each outcome needs 'result' or 'error'"
-                        )
-                try:
-                    accepted_flags = self.board.post_results(worker_id, outcomes)
-                except KeyError as exc:
-                    raise HTTPError(404, str(exc.args[0]))
-                return self._wire_response(request, {"accepted": accepted_flags})
-            if "id" not in payload:
-                raise HTTPError(400, "result payload needs at least an item 'id'")
-            error = payload.get("error")
-            result_payload = payload.get("result")
-            if error is None and result_payload is None:
-                raise HTTPError(400, "result payload needs 'result' or 'error'")
-            try:
-                accepted = self.board.post_result(
-                    worker_id,
-                    item_id=str(payload["id"]),
-                    result=result_payload,
-                    error=None if error is None else str(error),
+        async def post_work_results(request: Request, worker_id: str) -> Response:
+            payload = _frame_payload(request)
+            outcomes = payload.get("results")
+            if not isinstance(outcomes, list):
+                raise HTTPError(
+                    400,
+                    f"a results {FRAME_CONTENT_TYPE} body needs a 'results' "
+                    "list of outcomes",
                 )
-            except KeyError as exc:
-                raise HTTPError(404, str(exc.args[0]))
-            return self._wire_response(request, {"accepted": accepted})
-
-    # -- wire negotiation (worker endpoints only) --------------------------
-
-    def _worker_payload(self, request: Request) -> Any:
-        """The request body, whatever encoding the worker chose.
-
-        A ``Content-Type: application/x-repro-frame`` body is decoded as a
-        binary frame; anything else is parsed as JSON — so v1 workers and
-        plain-curl debugging keep working unchanged.
-        """
-        from repro.distributed.frames import (
-            FRAME_CONTENT_TYPE,
-            FrameError,
-            decode_frame,
-        )
-
-        content_type = (
-            (request.header("content-type") or "").partition(";")[0].strip()
-        )
-        if content_type != FRAME_CONTENT_TYPE:
-            return request.json()
-        if not request.body:
-            return {}
-        try:
-            return decode_frame(request.body)
-        except FrameError as error:
-            raise HTTPError(400, f"request body is not a valid frame: {error}")
-
-    def _wire_response(
-        self, request: Request, payload: Any, status: int = 200
-    ) -> Response:
-        """Answer in frames iff the worker advertised them (and frames are
-        enabled on this board); JSON otherwise — negotiation in kind."""
-        from repro.distributed.frames import FRAME_CONTENT_TYPE, encode_frame
-
-        accepts = request.header("accept") or ""
-        sent_frame = (
-            (request.header("content-type") or "").partition(";")[0].strip()
-            == FRAME_CONTENT_TYPE
-        )
-        if self.frame_wire and (FRAME_CONTENT_TYPE in accepts or sent_frame):
-            return Response(
-                status=status,
-                body=encode_frame(payload),
-                content_type=FRAME_CONTENT_TYPE,
-            )
-        return Response.json(payload, status=status)
+            for outcome in outcomes:
+                if (
+                    not isinstance(outcome, dict)
+                    or "id" not in outcome
+                    or (
+                        outcome.get("result") is None
+                        and outcome.get("error") is None
+                    )
+                ):
+                    raise HTTPError(
+                        400,
+                        f"each outcome in a results {FRAME_CONTENT_TYPE} body "
+                        "needs an item 'id' plus 'result' or 'error'",
+                    )
+            self._ingest_telemetry(worker_id, payload.get("telemetry"))
+            try:
+                accepted = self.board.post_results(worker_id, outcomes)
+            except KeyError as error:
+                raise HTTPError(404, str(error.args[0]))
+            return _frame_response({"accepted": accepted})
 
     def _ingest_telemetry(self, worker_id: str, telemetry: Any) -> None:
         """Absorb a piggybacked worker metrics snapshot (best-effort)."""
@@ -562,26 +494,43 @@ class ResultsService:
             return {name: npz[name].tolist() for name in npz.files}
 
 
+def _frame_payload(request: Request) -> Dict[str, Any]:
+    """A worker request's frame-decoded body; anything else is a 400."""
+    from repro.distributed.frames import FrameError, decode_frame
+
+    content_type = (request.header("content-type") or "").partition(";")[0]
+    if content_type.strip() != FRAME_CONTENT_TYPE:
+        raise HTTPError(400, f"worker requests must send an {FRAME_CONTENT_TYPE} body")
+    try:
+        payload = decode_frame(request.body)
+    except FrameError as error:
+        raise HTTPError(400, f"request body is not a valid {FRAME_CONTENT_TYPE}: {error}")
+    if not isinstance(payload, dict):
+        raise HTTPError(400, f"a worker's {FRAME_CONTENT_TYPE} body must be an object")
+    return payload
+
+
+def _frame_response(payload: Dict[str, Any]) -> Response:
+    from repro.distributed.frames import encode_frame
+
+    return Response(body=encode_frame(payload), content_type=FRAME_CONTENT_TYPE)
+
+
 def serve(
     host: str = "127.0.0.1",
     port: int = 8077,
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    wire: str = "auto",
 ) -> int:
     """Run the results service until interrupted (the CLI entry point).
 
     Prints a single ``listening on http://host:port`` line once bound (with
     the real port when ``port=0``), which is what scripts and the e2e tests
-    key on.  ``wire="json"`` pins the worker endpoints to plain JSON
-    (diagnostics / staged rollouts); the default negotiates binary frames
-    with workers that advertise them.
+    key on.
     """
 
     async def main() -> None:
-        service = ResultsService(
-            workers=workers, cache=cache, frame_wire=(wire != "json")
-        )
+        service = ResultsService(workers=workers, cache=cache)
         bound_host, bound_port = await service.start(host, port)
         print(
             f"repro results service listening on http://{bound_host}:{bound_port}",

@@ -94,29 +94,18 @@ class ResultView:
 class ServiceClient:
     """Talk to a running results service at ``base_url``.
 
-    ``wire`` controls the worker-endpoint encoding: ``"auto"`` (default)
-    advertises the binary frame format (:mod:`repro.distributed.frames`)
-    via ``Accept`` on every claim and upgrades to frame-encoded bodies the
-    moment the board answers in frames; ``"json"`` pins plain JSON.  Both
-    rollout directions are safe: an old board ignores the ``Accept`` header
-    and keeps replying JSON (the client never upgrades), and an old client
-    never advertises, so a new board answers it in JSON.
+    Everything is JSON except the two worker endpoints (claim, results),
+    whose request and success bodies are binary frames
+    (:mod:`repro.distributed.frames`).
     """
 
-    def __init__(
-        self, base_url: str, timeout: float = 60.0, wire: str = "auto"
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         split = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
         if split.hostname is None:
             raise ValueError(f"cannot parse service URL {base_url!r}")
-        if wire not in ("auto", "json"):
-            raise ValueError(f"wire must be 'auto' or 'json', got {wire!r}")
         self.host = split.hostname
         self.port = split.port or 80
         self.timeout = timeout
-        self.wire = wire
-        #: Flips true on the first frame-encoded reply from the board.
-        self._peer_speaks_frames = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -161,15 +150,9 @@ class ServiceClient:
             raise ServiceError(status, message)
         return parsed
 
-    def _wire_json(self, method: str, path: str, payload: Any = None) -> Any:
-        """A worker-endpoint exchange in the negotiated encoding.
-
-        Requests advertise frames via ``Accept``; bodies stay JSON until
-        the board has demonstrably answered in frames at least once, so a
-        frame body is never sent to a JSON-only board.
-        """
-        if self.wire != "auto":
-            return self._json(method, path, payload)
+    def _frame(self, path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """POST a frame-encoded body to a worker endpoint; decode the frame
+        reply (error replies are JSON and raise :class:`ServiceError`)."""
         from repro.distributed.frames import (
             FRAME_CONTENT_TYPE,
             FrameError,
@@ -177,33 +160,19 @@ class ServiceClient:
             encode_frame,
         )
 
-        headers = {"Accept": FRAME_CONTENT_TYPE}
-        if payload is None:
-            body: Any = None
-        elif self._peer_speaks_frames:
-            body = encode_frame(payload)
-            headers["Content-Type"] = FRAME_CONTENT_TYPE
-        else:
-            body = json.dumps(payload)
-            headers["Content-Type"] = "application/json"
-        status, response_headers, raw = self._exchange(
-            method, path, body, headers
+        status, _headers, raw = self._exchange(
+            "POST", path, encode_frame(payload), {"Content-Type": FRAME_CONTENT_TYPE}
         )
-        content_type = (
-            (response_headers.get("content-type") or "").partition(";")[0].strip()
-        )
-        if content_type == FRAME_CONTENT_TYPE:
-            try:
-                parsed: Any = decode_frame(raw)
-            except FrameError as error:
-                raise ServiceError(status, f"bad frame reply: {error}")
-            self._peer_speaks_frames = True
-        else:
-            parsed = json.loads(raw) if raw else None
         if status >= 400:
-            message = (parsed or {}).get("error", "") if isinstance(parsed, dict) else ""
+            try:
+                message = json.loads(raw).get("error", "")
+            except (ValueError, AttributeError):
+                message = ""
             raise ServiceError(status, message)
-        return parsed
+        try:
+            return decode_frame(raw)
+        except FrameError as error:
+            raise ServiceError(status, f"bad frame reply: {error}")
 
     def _text(self, method: str, path: str) -> str:
         """A non-JSON body (Prometheus text, NDJSON traces)."""
@@ -331,52 +300,27 @@ class ServiceClient:
         payload = self._json("POST", "/v1/workers", {"name": name})
         return payload["worker_id"]
 
-    def claim_work(
-        self,
-        worker_id: str,
-        telemetry: Optional[Dict[str, Any]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """The next shard work item queued for this worker, or ``None``.
-
-        ``telemetry`` (``{"metrics": snapshot, "seq": n, "name": ...}``)
-        piggybacks the worker's cumulative metrics snapshot on the claim —
-        no extra round trip for fleet aggregation.
-        """
-        body = {"telemetry": telemetry} if telemetry else None
-        payload = self._wire_json("POST", f"/v1/workers/{worker_id}/claim", body)
-        return payload.get("item")
-
     def claim_work_batch(
         self,
         worker_id: str,
         batch: int = 1,
         token: Optional[str] = None,
         telemetry: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
+    ) -> List[Dict[str, Any]]:
         """Claim up to ``batch`` work items in one round-trip.
 
-        Returns ``{"items": [...], "protocol": n}``.  A protocol-2 board
-        answers the batched form directly; a v1 board ignores the ``batch``
-        field and replies with a single ``item``, which is normalised into
-        a 0- or 1-element list with ``protocol`` 1 — so callers can pick
-        their result-posting style off the reply.  ``token`` makes the
-        claim idempotent on protocol-2 boards: retrying the same token
-        after a lost response re-delivers the same items instead of
-        claiming fresh ones.
+        ``token`` makes the claim idempotent: retrying the same token after
+        a lost response re-delivers the same items instead of claiming
+        fresh ones.  ``telemetry`` (``{"metrics": snapshot, "seq": n,
+        "name": ...}``) piggybacks the worker's cumulative metrics snapshot
+        on the claim — no extra round trip for fleet aggregation.
         """
         body: Dict[str, Any] = {"batch": int(batch)}
         if token is not None:
             body["token"] = token
         if telemetry:
             body["telemetry"] = telemetry
-        payload = self._wire_json("POST", f"/v1/workers/{worker_id}/claim", body)
-        if "items" in payload:
-            return {
-                "items": list(payload.get("items") or []),
-                "protocol": int(payload.get("protocol") or 2),
-            }
-        item = payload.get("item")
-        return {"items": [item] if item is not None else [], "protocol": 1}
+        return list(self._frame(f"/v1/workers/{worker_id}/claim", body)["items"])
 
     def post_work_results(
         self,
@@ -384,7 +328,7 @@ class ServiceClient:
         outcomes: List[Dict[str, Any]],
         telemetry: Optional[Dict[str, Any]] = None,
     ) -> List[bool]:
-        """Post a batch of shard outcomes in one round-trip (protocol 2).
+        """Post a batch of shard outcomes in one round-trip.
 
         Each outcome is ``{"id": item_id, "result": ...}`` or
         ``{"id": item_id, "error": ...}``.  Returns per-outcome acceptance
@@ -393,34 +337,8 @@ class ServiceClient:
         payload: Dict[str, Any] = {"results": list(outcomes)}
         if telemetry is not None:
             payload["telemetry"] = telemetry
-        response = self._wire_json(
-            "POST", f"/v1/workers/{worker_id}/results", payload
-        )
-        accepted = response.get("accepted")
-        if isinstance(accepted, list):
-            return [bool(flag) for flag in accepted]
-        return [bool(accepted)] * len(outcomes)
-
-    def post_work_result(
-        self,
-        worker_id: str,
-        item_id: str,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[str] = None,
-        telemetry: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Post a shard outcome; ``False`` means the item was reassigned."""
-        payload: Dict[str, Any] = {"id": item_id}
-        if result is not None:
-            payload["result"] = result
-        if error is not None:
-            payload["error"] = error
-        if telemetry is not None:
-            payload["telemetry"] = telemetry
-        response = self._wire_json(
-            "POST", f"/v1/workers/{worker_id}/results", payload
-        )
-        return bool(response.get("accepted"))
+        response = self._frame(f"/v1/workers/{worker_id}/results", payload)
+        return [bool(flag) for flag in response["accepted"]]
 
     def shard_workers(self) -> List[Dict[str, Any]]:
         """The service's registered shard workers (fleet view)."""

@@ -10,7 +10,7 @@ the service is built to protect, so the ~200 lines live here instead.
 Connections are single-request (``Connection: close``): the service's
 clients are polling tools and tests, not high-fan-in browsers, and closing
 per response keeps the state machine trivial.  Bodies are capped at 1 MiB —
-every legitimate request body is a small JSON document.
+every legitimate request body is a small JSON document or binary frame.
 """
 
 from __future__ import annotations

@@ -266,9 +266,6 @@ class JobQueue:
         self.max_finished_jobs = max_finished_jobs
         self.shard_board = shard_board
         self.shard_options = dict(shard_options or {})
-        # Board-level option, not an engine knob: how many work items the
-        # scheduler keeps in flight per worker (= the fleet's claim batch).
-        self.claim_batch = self.shard_options.pop("claim_batch", None)
         self.jobs: Dict[str, Job] = {}
         self._ids = itertools.count(1)
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
@@ -398,7 +395,7 @@ class JobQueue:
                 )
             from repro.service.shards import BoardExecutor
 
-            return BoardExecutor(self.shard_board, slot_depth=self.claim_batch)
+            return BoardExecutor(self.shard_board)
         return executor
 
     def _record_point(self, job: Job, point: Dict[str, Any]) -> None:

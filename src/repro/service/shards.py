@@ -3,9 +3,9 @@ remote ``repro worker`` processes.
 
 The board is the meeting point of two threads of control:
 
-* the **HTTP side** (event-loop handlers) — workers register, claim the
-  next work item assigned to them, and post results; every call is a
-  short, non-blocking critical section;
+* the **HTTP side** (event-loop handlers) — workers register, claim
+  batches of the work items assigned to them, and post their results;
+  every call is a short, non-blocking critical section;
 * the **scheduler side** (the job queue's worker thread) — the
   :class:`BoardExecutor` adapts the board to the
   :class:`~repro.distributed.executors.ShardExecutor` interface: live
@@ -33,23 +33,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.distributed.executors import ShardExecutor, ShardOutcome
+from repro.distributed.work import DEFAULT_CLAIM_BATCH
 from repro.obs.metrics import REGISTRY
-
-#: Version of the worker claim/result protocol this board speaks.  Version
-#: 2 adds batched claims (``{"batch": n, "token": ...}`` →
-#: ``{"items": [...], "protocol": 2}``) and batched result posts
-#: (``{"results": [...]}`` → ``{"accepted": [...]}``); version-1 workers
-#: keep sending bare claims and single results and are answered in kind.
-CLAIM_PROTOCOL_VERSION = 2
 
 #: Seconds without a claim/post before a worker's unclaimed work is
 #: reassigned and it disappears from the slot list.
 DEFAULT_WORKER_TIMEOUT = 30.0
-
-#: Work items a protocol-2 claim may carry by default — also the number of
-#: items the scheduler keeps in flight per worker slot, so a full batch is
-#: actually available when the claim arrives.
-DEFAULT_CLAIM_BATCH = 4
 
 _CLAIM_BATCH_ITEMS = REGISTRY.histogram(
     "repro_board_claim_batch_items",
@@ -133,11 +122,6 @@ class ShardBoard:
                 id=worker_id, name=name, registered_at=now, last_seen=now
             )
             return worker_id
-
-    def claim(self, worker_id: str) -> Optional[Dict[str, Any]]:
-        """Pop the next item queued for ``worker_id`` (``None`` when idle)."""
-        items = self.claim_batch(worker_id, batch=1)
-        return items[0] if items else None
 
     def claim_batch(
         self,
@@ -328,14 +312,10 @@ class BoardExecutor(ShardExecutor):
     name = "workers"
     transport = "json"  # items cross HTTP; only spec-described runs fit
     round_trip_hint = 0.05
+    slot_depth = DEFAULT_CLAIM_BATCH
 
-    def __init__(
-        self, board: ShardBoard, slot_depth: Optional[int] = None
-    ) -> None:
+    def __init__(self, board: ShardBoard) -> None:
         self.board = board
-        self.slot_depth = max(
-            1, int(slot_depth if slot_depth is not None else DEFAULT_CLAIM_BATCH)
-        )
 
     def slots(self) -> Tuple[str, ...]:
         return self.board.live_workers()

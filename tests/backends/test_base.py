@@ -64,7 +64,7 @@ class TestRegistry:
         from repro.backends import base
         from repro.backends.reference import ReferenceBackend
         from repro.core.policies.lbp1 import LBP1
-        from repro.montecarlo.parallel import run_monte_carlo_auto
+        from repro.montecarlo.engine import EngineRequest, run_engine
         from repro.montecarlo.runner import MonteCarloRunner
 
         sentinel = object()
@@ -78,9 +78,16 @@ class TestRegistry:
                 return ReferenceBackend().run_batch(*args, **kwargs)
 
         monkeypatch.setitem(base._REGISTRY, "reference", Replacement())
-        estimate = run_monte_carlo_auto(
-            fast_params, LBP1(0.35), (10, 6), 3, seed=1, backend="reference"
-        )
+        estimate = run_engine(
+            EngineRequest(
+                params=fast_params,
+                policy=LBP1(0.35),
+                workload=(10, 6),
+                num_realisations=3,
+                seed=1,
+                backend="reference",
+            )
+        ).estimate
         assert calls and estimate.num_realisations == 3
 
         # The per-block primitive still honours the sentinel contract: a

@@ -14,7 +14,6 @@ from repro.core.parameters import (
     TransferDelayModel,
     homogeneous_parameters,
     paper_parameters,
-    paper_two_node_parameters,
     validate_workload,
 )
 
@@ -162,7 +161,11 @@ class TestFactories:
         assert paper_parameters(mean_delay_per_task=1.0).delay.mean_delay_per_task == 1.0
 
     def test_alias_factory(self):
-        assert paper_two_node_parameters().service_rates == (1.08, 1.86)
+        # The package re-exports the one paper factory under the same name.
+        import repro
+
+        assert repro.paper_parameters is paper_parameters
+        assert repro.paper_parameters().service_rates == (1.08, 1.86)
 
     def test_homogeneous_parameters(self):
         params = homogeneous_parameters(4, service_rate=2.0, failure_rate=0.1,

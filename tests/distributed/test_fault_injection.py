@@ -230,7 +230,7 @@ class TestBoardCrashMidBatch:
             thread.start()
         try:
             scheduler = ShardScheduler(
-                BoardExecutor(board, slot_depth=3),
+                BoardExecutor(board),
                 shard_timeout=0.5,
                 poll_interval=0.05,
             )

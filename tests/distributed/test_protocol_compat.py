@@ -1,25 +1,14 @@
-"""Claim-protocol compatibility: v1 single-item workers against the
-batched board, batched workers against a batch-1 board, idempotent claim
-retries, and the worker's claim backoff schedule."""
+"""The worker claim protocol: batched claims and result posts on the
+board, idempotent claim retries, the frames-only HTTP boundary, and the
+worker's claim backoff schedule."""
 
-import threading
-import time
+import json
 
 import pytest
 
-from repro.distributed.worker import (
-    CLAIM_BACKOFF_CAP,
-    ClaimBackoff,
-    run_worker,
-)
-from repro.service.shards import (
-    CLAIM_PROTOCOL_VERSION,
-    ShardBoard,
-)
-
-
-def _quiet(*args, **kwargs):
-    pass
+from repro.distributed.frames import FRAME_CONTENT_TYPE, encode_frame
+from repro.distributed.worker import CLAIM_BACKOFF_CAP, ClaimBackoff
+from repro.service.shards import ShardBoard
 
 
 def _item(index):
@@ -43,7 +32,7 @@ class TestBoardBatchedClaims:
         worker_id = board.register("alpha")
         board.assign(worker_id, _item(0))
         board.assign(worker_id, _item(1))
-        assert board.claim(worker_id)["id"] == "i0"
+        assert board.claim_batch(worker_id, batch=1) == [_item(0)]
         assert board.claim_batch(worker_id, batch=1) == [_item(1)]
 
     def test_claim_retry_with_same_token_replays_items(self):
@@ -95,110 +84,81 @@ class TestBoardBatchedClaims:
             board.claim_batch(worker_id, batch=0)
 
 
-class TestHTTPProtocolCompat:
+class TestFramesOnlyBoundary:
+    """Worker request bodies come from outside the program: anything but a
+    well-formed frame is a 400 that names the frame content type."""
+
     @pytest.fixture(autouse=True)
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
-    def test_v1_claim_shape_is_preserved(self, background_service):
-        # A pre-batching worker posts no 'batch' field; the board must
-        # answer in kind: {"item": ...}, one item, no protocol marker.
+    @pytest.fixture
+    def worker(self, background_service):
         from repro.service.client import ServiceClient
 
         with background_service() as service:
             client = ServiceClient(service.url, timeout=10.0)
-            worker_id = client.register_worker("legacy")
-            assert client.claim_work(worker_id) is None
-            reply = client._json(
-                "POST", f"/v1/workers/{worker_id}/claim", {}
-            )
-            assert "items" not in reply and reply.get("item") is None
+            yield client, client.register_worker("boundary")
 
-    def test_batched_claim_reports_protocol_version(self, background_service):
-        from repro.service.client import ServiceClient
+    @staticmethod
+    def _post(client, worker_id, endpoint, body, content_type=FRAME_CONTENT_TYPE):
+        status, _headers, raw = client._exchange(
+            "POST",
+            f"/v1/workers/{worker_id}/{endpoint}",
+            body,
+            headers={"Content-Type": content_type},
+        )
+        return status, json.loads(raw)["error"]
 
-        with background_service() as service:
-            client = ServiceClient(service.url, timeout=10.0)
-            worker_id = client.register_worker("batched")
-            claimed = client.claim_work_batch(worker_id, batch=3, token="t0")
-            assert claimed == {"items": [], "protocol": CLAIM_PROTOCOL_VERSION}
+    def _assert_rejected(self, client, worker_id, endpoint, body, **kwargs):
+        status, error = self._post(client, worker_id, endpoint, body, **kwargs)
+        assert status == 400
+        assert FRAME_CONTENT_TYPE in error
 
-    def test_malformed_batch_is_rejected(self, background_service):
-        from repro.service.client import ServiceClient, ServiceError
+    @pytest.mark.parametrize("endpoint", ["claim", "results"])
+    def test_json_body_is_rejected(self, worker, endpoint):
+        client, worker_id = worker
+        body = json.dumps({"batch": 1, "results": []})
+        self._assert_rejected(
+            client, worker_id, endpoint, body, content_type="application/json"
+        )
 
-        with background_service() as service:
-            client = ServiceClient(service.url, timeout=10.0)
-            worker_id = client.register_worker("bad")
-            for batch in (0, "three"):
-                with pytest.raises(ServiceError):
-                    client._json(
-                        "POST",
-                        f"/v1/workers/{worker_id}/claim",
-                        {"batch": batch},
-                    )
-
-    def test_v1_worker_loop_completes_jobs_on_batched_board(
-        self, background_service
+    @pytest.mark.parametrize(
+        "claim",
+        [{}, {"batch": 0}, {"batch": "three"}, {"batch": 2.5}],
+        ids=["missing", "zero", "string", "fraction"],
+    )
+    def test_claim_without_a_positive_integer_batch_is_rejected(
+        self, worker, claim
     ):
-        # A worker speaking only the v1 surface (single claim, single
-        # post) must keep draining jobs from the new board unchanged.
-        from repro.distributed.work import execute_work_item
-        from repro.service.client import ServiceClient
+        client, worker_id = worker
+        self._assert_rejected(client, worker_id, "claim", encode_frame(claim))
 
-        def v1_worker(url, stop):
-            client = ServiceClient(url, timeout=10.0)
-            worker_id = client.register_worker("v1-legacy")
-            while not stop.is_set():
-                item = client.claim_work(worker_id)
-                if item is None:
-                    time.sleep(0.05)
-                    continue
-                try:
-                    result = execute_work_item(item)
-                except Exception as error:  # noqa: BLE001 - shard boundary
-                    client.post_work_result(
-                        worker_id, item["id"], error=str(error)
-                    )
-                else:
-                    client.post_work_result(
-                        worker_id, item["id"], result=result
-                    )
-
-        with background_service() as service:
-            stop = threading.Event()
-            thread = threading.Thread(
-                target=v1_worker, args=(service.url, stop), daemon=True
-            )
-            thread.start()
-            try:
-                client = ServiceClient(service.url, timeout=30.0)
-                job = client.submit(
-                    scenario="smoke", shards=2, executor="workers"
-                )
-                view = client.wait(job.id, timeout=120)
-                assert view.state == "done"
-            finally:
-                stop.set()
-
-    def test_batched_worker_completes_jobs_on_batch1_board(
-        self, background_service
+    @pytest.mark.parametrize(
+        "outcome",
+        [{"result": {"blocks": []}}, {"id": "i0"}],
+        ids=["no-id", "no-result-or-error"],
+    )
+    def test_outcome_without_id_or_result_or_error_is_rejected(
+        self, worker, outcome
     ):
-        # The converse rollout order: new workers claiming batches from a
-        # board configured to hand out one item per claim.
-        from repro.service.client import ServiceClient
+        client, worker_id = worker
+        body = encode_frame({"results": [outcome]})
+        self._assert_rejected(client, worker_id, "results", body)
 
-        with background_service(shard_options={"claim_batch": 1}) as service:
-            thread = threading.Thread(
-                target=run_worker,
-                args=(service.url,),
-                kwargs=dict(name="batched", max_idle=60, batch=4, log=_quiet),
-                daemon=True,
-            )
-            thread.start()
-            client = ServiceClient(service.url, timeout=30.0)
-            job = client.submit(scenario="smoke", shards=3, executor="workers")
-            view = client.wait(job.id, timeout=120)
-            assert view.state == "done"
+    def test_board_rejects_a_torn_frame_body(self, worker):
+        client, worker_id = worker
+        frame = encode_frame({"token": "x", "batch": 1})
+        self._assert_rejected(
+            client, worker_id, "claim", frame[: len(frame) - 4]
+        )
+
+    def test_well_formed_frames_round_trip(self, worker):
+        client, worker_id = worker
+        assert client.claim_work_batch(worker_id, batch=3, token="t0") == []
+        assert client.post_work_results(
+            worker_id, [{"id": "i9", "error": "never claimed"}]
+        ) == [False]
 
 
 class TestClaimBackoff:

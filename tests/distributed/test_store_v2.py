@@ -1,5 +1,4 @@
-"""ShardStore v2: columnar segments, v1 read-through, migration, and the
-corruption drills.
+"""ShardStore v2: columnar segments and the corruption drills.
 
 The store's contract is *clean misses*: any damaged byte — truncated
 segment, torn index line, stale format version, foreign bytes where a
@@ -10,16 +9,9 @@ block) and never as an exception or, worse, a wrong payload.
 from __future__ import annotations
 
 import json
-import os
-
-import pytest
 
 from repro.distributed.frames import encode_frame
-from repro.distributed.store import (
-    BLOCK_FORMAT_VERSION,
-    STORE_FORMAT_VERSION,
-    ShardStore,
-)
+from repro.distributed.store import BLOCK_FORMAT_VERSION, ShardStore
 from repro.obs.metrics import REGISTRY
 
 
@@ -32,8 +24,8 @@ def _block(index: int = 0) -> dict:
 
 
 def _write_v1(store: ShardStore, key: str, block: dict) -> None:
-    """A legacy v1 document, byte-for-byte what the old store wrote."""
-    path = store.path_for(key)
+    """A per-block JSON document as older releases wrote them."""
+    path = store.root / key[:2] / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(
@@ -53,9 +45,6 @@ def _read_bytes_metric() -> float:
 
 
 class TestV2Layout:
-    def test_store_format_version_is_2(self):
-        assert STORE_FORMAT_VERSION == 2
-
     def test_put_get_round_trip_via_segments(self, tmp_path):
         store = ShardStore(tmp_path)
         block = _block()
@@ -63,7 +52,7 @@ class TestV2Layout:
         assert store.get("a" * 40) == block
         assert store.hits == 1 and store.misses == 0
         # The bytes live in a segment + sidecar, not a per-key JSON file.
-        assert not store.path_for("a" * 40).exists()
+        assert not list(store.root.glob("??/*.json"))
         segments = list(store.segment_dir.glob("*.seg"))
         sidecars = list(store.segment_dir.glob("*.idx"))
         assert len(segments) == 1 and len(sidecars) == 1
@@ -102,99 +91,22 @@ class TestV2Layout:
         store = ShardStore(tmp_path)
         store.put("e" * 40, _block())
         _write_v1(store, "f" * 40, _block())
-        assert store.clear() == 2
+        assert store.clear() == 1
         assert len(store) == 0
         assert not store.segment_dir.exists()
-        # Emptied two-hex v1 dirs are gone too.
+        # Leftover per-block JSON dirs from older releases go too.
         assert not list(store.root.glob("??"))
         store.put("e" * 40, _block(9))  # the store stays usable
         assert store.get("e" * 40) == _block(9)
 
-
-class TestV1ReadThroughAndMigration:
-    def test_v1_documents_read_transparently(self, tmp_path):
+    def test_legacy_v1_documents_read_as_misses(self, tmp_path):
+        """Per-block JSON documents from older releases are not read: the
+        engine recomputes those blocks bit-identically."""
         store = ShardStore(tmp_path)
         _write_v1(store, "1a" + "c" * 38, _block(7))
-        assert store.get("1a" + "c" * 38) == _block(7)
-        assert store.hits == 1
-
-    def test_mixed_v1_v2_directory(self, tmp_path):
-        store = ShardStore(tmp_path)
-        _write_v1(store, "aa" + "0" * 38, _block(1))
-        store.put("bb" + "0" * 38, _block(2))
-        assert len(store) == 2
-        assert store.get("aa" + "0" * 38) == _block(1)
-        assert store.get("bb" + "0" * 38) == _block(2)
-
-    def test_v2_shadows_v1_for_the_same_key(self, tmp_path):
-        store = ShardStore(tmp_path)
-        key = "cc" + "1" * 38
-        _write_v1(store, key, _block(1))
-        store.put(key, _block(2))
-        assert store.get(key) == _block(2)
-
-    def test_migrate_rewrites_v1_into_segments(self, tmp_path):
-        store = ShardStore(tmp_path)
-        keys = [f"{i:02d}" + "a" * 38 for i in range(5)]
-        for i, key in enumerate(keys):
-            _write_v1(store, key, _block(i))
-        counts = store.migrate()
-        assert counts == {"migrated": 5, "skipped": 0}
-        assert not list(store.root.glob("??/*.json"))
-        assert not list(store.root.glob("??"))  # emptied dirs removed
-        fresh = ShardStore(tmp_path)
-        for i, key in enumerate(keys):
-            assert fresh.get(key) == _block(i)
-
-    def test_migrate_skips_corrupt_documents(self, tmp_path):
-        store = ShardStore(tmp_path)
-        _write_v1(store, "aa" + "b" * 38, _block())
-        bad = store.root / "zz"
-        bad.mkdir(parents=True)
-        (bad / ("zz" + "b" * 38 + ".json")).write_text("{not json")
-        counts = store.migrate()
-        assert counts == {"migrated": 1, "skipped": 1}
-
-    def test_stale_v1_format_version_is_a_miss(self, tmp_path):
-        store = ShardStore(tmp_path)
-        key = "dd" + "2" * 38
-        path = store.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"format_version": 999, "block": _block()}))
-        assert store.get(key) is None
+        assert store.get("1a" + "c" * 38) is None
         assert store.misses == 1
-
-    def test_cli_migrate_command(self, tmp_path):
-        import subprocess
-        import sys
-
-        store = ShardStore(tmp_path)
-        _write_v1(store, "ee" + "3" * 38, _block(4))
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "store", "migrate",
-             "--root", str(tmp_path)],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH="src"),
-        )
-        assert "migrated 1" in out.stdout
-        assert ShardStore(tmp_path).get("ee" + "3" * 38) == _block(4)
-
-
-class TestStagingSweep:
-    def test_stale_v1_staging_files_are_swept_on_init(self, tmp_path):
-        first = ShardStore(tmp_path)
-        shard_dir = first.root / "ab"
-        shard_dir.mkdir(parents=True)
-        stale = shard_dir / (".ab" + "c" * 38 + ".json-1234abcd")
-        stale.write_text("{}")
-        ShardStore(tmp_path)  # init sweeps
-        assert not stale.exists()
-
-    def test_sweep_leaves_real_documents_alone(self, tmp_path):
-        first = ShardStore(tmp_path)
-        _write_v1(first, "ab" + "c" * 38, _block())
-        second = ShardStore(tmp_path)
-        assert second.get("ab" + "c" * 38) == _block()
+        assert len(store) == 0
 
 
 class TestCorruption:

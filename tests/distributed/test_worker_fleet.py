@@ -18,10 +18,10 @@ class TestShardBoard:
     def test_register_claim_post_cycle(self):
         board = ShardBoard()
         worker_id = board.register("alpha")
-        assert board.claim(worker_id) is None
+        assert board.claim_batch(worker_id) == []
         item = {"id": "i1", "shard": 0}
         board.assign(worker_id, item)
-        assert board.claim(worker_id) == item
+        assert board.claim_batch(worker_id) == [item]
         assert board.post_result(worker_id, "i1", result={"blocks": []})
         (outcome,) = board.collect(timeout=0.1)
         assert outcome.ok and outcome.slot == worker_id
@@ -29,13 +29,13 @@ class TestShardBoard:
     def test_unknown_worker_rejected(self):
         board = ShardBoard()
         with pytest.raises(KeyError):
-            board.claim("w-404")
+            board.claim_batch("w-404")
 
     def test_late_result_after_abandon_is_ignored(self):
         board = ShardBoard()
         worker_id = board.register("alpha")
         board.assign(worker_id, {"id": "i1", "shard": 0})
-        assert board.claim(worker_id) is not None
+        assert board.claim_batch(worker_id)
         board.abandon(worker_id, "i1")
         assert not board.post_result(worker_id, "i1", result={})
         assert board.collect(timeout=0.05) == []
@@ -55,7 +55,7 @@ class TestShardBoard:
         board = ShardBoard(worker_timeout=0.1)
         worker_id = board.register("busy")
         board.assign(worker_id, {"id": "i1", "shard": 0})
-        assert board.claim(worker_id) is not None
+        assert board.claim_batch(worker_id)
         time.sleep(0.15)
         assert worker_id in board.live_workers()
         assert board.collect(timeout=0.05) == []
@@ -77,7 +77,7 @@ class TestShardBoard:
         board = ShardBoard(worker_timeout=0.01)
         worker_id = board.register("busy")
         board.assign(worker_id, {"id": "i1", "shard": 0})
-        assert board.claim(worker_id) is not None
+        assert board.claim_batch(worker_id)
         time.sleep(0.15)
         board.collect(timeout=0.01)
         assert worker_id in board.live_workers()
@@ -88,7 +88,7 @@ class TestShardBoard:
         worker_id = board.register("alpha")
         assert executor.slots() == (worker_id,)
         executor.start(worker_id, {"id": "i1", "shard": 0})
-        assert board.claim(worker_id) is not None
+        assert board.claim_batch(worker_id)
         board.post_result(worker_id, "i1", error="boom")
         (outcome,) = executor.poll(0.1)
         assert outcome.error == "boom"

@@ -7,18 +7,11 @@ merged statistics — mean, variance, confidence interval and percentiles —
 and bit-identical completion-time arrays.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.core.policies.lbp1 import LBP1
-from repro.montecarlo.engine import (
-    EngineRequest,
-    _LEGACY_WARNED,
-    run_engine,
-    warn_legacy,
-)
+from repro.montecarlo.engine import EngineRequest, run_engine
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
 
 
@@ -250,78 +243,51 @@ class TestEngineBehaviour:
         )
         assert wired.estimate.summary == serial.estimate.summary
 
-    def test_v1_v2_and_mixed_store_layouts_resume_identically(self, fast_params):
-        """The cross-format acceptance gate: blocks cached as legacy v1
-        JSON documents, v2 segments, or a mixed directory of both must
-        feed resumed runs with exact (``==``) merged statistics."""
-        import json
-        import shutil
-
-        from repro.distributed.store import BLOCK_FORMAT_VERSION, ShardStore
+    def test_fresh_store_instances_resume_and_grow_identically(self, fast_params):
+        """Blocks written by one ShardStore instance feed resumed and grown
+        runs through fresh instances with exact (``==``) merged statistics."""
+        from repro.distributed.store import ShardStore
 
         paper = SystemSpec.paper().to_parameters()
         baseline = run_engine(_request(paper)).estimate
 
-        store = ShardStore()
-        first = run_engine(_request(paper, store=store))
+        first = run_engine(_request(paper, store=ShardStore()))
         assert first.estimate.summary == baseline.summary
 
-        v2_resume = run_engine(_request(paper, store=ShardStore()))
-        assert v2_resume.blocks_cached == 5
-        assert v2_resume.estimate.summary == baseline.summary
-
-        # Downgrade every cached block to a legacy v1 document.
-        store._refresh_index()
-        assert len(store._index) == 5
-        for key in store._index:
-            path = store.path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(
-                    {
-                        "format_version": BLOCK_FORMAT_VERSION,
-                        "key": key,
-                        "block": store.get(key),
-                    }
-                )
-            )
-        shutil.rmtree(store.segment_dir)
-
-        v1_resume = run_engine(_request(paper, store=ShardStore()))
-        assert v1_resume.blocks_cached == 5
-        assert v1_resume.estimate.summary == baseline.summary
+        resumed = run_engine(_request(paper, store=ShardStore()))
+        assert resumed.blocks_cached == 5
+        assert resumed.estimate.summary == baseline.summary
         np.testing.assert_array_equal(
-            v1_resume.estimate.completion_times, baseline.completion_times
+            resumed.estimate.completion_times, baseline.completion_times
         )
 
-        # Growing the ensemble appends the delta as v2 segments next to
-        # the v1 documents: the directory is now mixed-format.
         grown = run_engine(
             _request(paper, store=ShardStore(), num_realisations=28)
         )
         assert grown.blocks_cached == 5 and grown.blocks_total == 7
-        mixed_resume = run_engine(
+        regrown = run_engine(
             _request(paper, store=ShardStore(), num_realisations=28)
         )
-        assert mixed_resume.blocks_cached == 7
-        assert mixed_resume.estimate.summary == grown.estimate.summary
+        assert regrown.blocks_cached == 7
+        assert regrown.estimate.summary == grown.estimate.summary
         np.testing.assert_array_equal(
-            mixed_resume.estimate.completion_times,
-            grown.estimate.completion_times,
+            regrown.estimate.completion_times, grown.estimate.completion_times
         )
 
-        # Migration collapses the mix to pure v2 without changing a bit.
-        counts = ShardStore().migrate()
-        assert counts == {"migrated": 5, "skipped": 0}
-        migrated = run_engine(
-            _request(paper, store=ShardStore(), num_realisations=28)
+    def test_pool_slots_capped_at_work_item_count(self, fast_params):
+        """A tiny ensemble must not fork idle workers beyond its size."""
+        report = run_engine(
+            _request(
+                fast_params,
+                num_realisations=3,
+                block_size=1,  # 3 blocks -> 3 work items
+                executor="process",
+                workers=8,
+            )
         )
-        assert migrated.blocks_cached == 7
-        assert migrated.estimate.summary == grown.estimate.summary
-        np.testing.assert_array_equal(
-            migrated.estimate.completion_times,
-            grown.estimate.completion_times,
-        )
+        # 8 workers requested, but only 3 items exist: the pool is capped.
+        assert report.shards_dispatched == 3
+        assert set(report.slot_completed) <= {"process-0", "process-1", "process-2"}
 
     def test_quantile_sketch_is_partition_invariant(self, fast_params):
         serial = run_engine(_request(fast_params)).estimate
@@ -332,40 +298,3 @@ class TestEngineBehaviour:
         assert a.to_dict() == b.to_dict()
         assert a.quantile(0.5) == b.quantile(0.5)
 
-
-@pytest.mark.engine_equivalence
-class TestLegacyShimsWarnOnce:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        saved = set(_LEGACY_WARNED)
-        _LEGACY_WARNED.clear()
-        yield
-        _LEGACY_WARNED.clear()
-        _LEGACY_WARNED.update(saved)
-
-    @pytest.mark.parametrize(
-        "name",
-        ["run_monte_carlo", "run_monte_carlo_parallel", "run_monte_carlo_auto"],
-    )
-    def test_each_shim_warns_exactly_once(self, name):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            warn_legacy(name)
-            warn_legacy(name)
-        deprecations = [
-            w for w in seen if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert name in str(deprecations[0].message)
-
-    def test_shim_calls_route_through_warn_legacy(self, fast_params):
-        from repro.montecarlo.runner import run_monte_carlo
-
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            run_monte_carlo(fast_params, LBP1(0.4), (5, 5), 2, seed=0)
-            run_monte_carlo(fast_params, LBP1(0.4), (5, 5), 2, seed=0)
-        deprecations = [
-            w for w in seen if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1

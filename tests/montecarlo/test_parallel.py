@@ -1,44 +1,69 @@
-"""Tests for the deprecated process-pool shims (now engine-backed)."""
+"""Pooled Monte-Carlo execution through the engine.
+
+A run over process slots or a caller's futures pool is the same
+block-planned sample as an inline run, so every pooled estimate here must
+equal its inline twin exactly.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.policies import LBP1, NoBalancing
-from repro.montecarlo.parallel import run_monte_carlo_auto, run_monte_carlo_parallel
-from repro.montecarlo.runner import run_monte_carlo
+from repro.montecarlo.engine import EngineRequest, run_engine
+
+
+def _estimate(params, policy, workload, num_realisations, seed, **execution):
+    return run_engine(
+        EngineRequest(
+            params=params,
+            policy=policy,
+            workload=workload,
+            num_realisations=num_realisations,
+            seed=seed,
+            **execution,
+        )
+    ).estimate
 
 
 class TestParallelRunner:
     def test_requires_positive_realisations(self, fast_params):
         with pytest.raises(ValueError):
-            run_monte_carlo_parallel(fast_params, NoBalancing(), (5, 5), 0, seed=0)
+            _estimate(
+                fast_params, NoBalancing(), (5, 5), 0, seed=0,
+                executor="process", workers=2,
+            )
 
     def test_inline_fallback_matches_serial_runner(self, fast_params):
-        """With max_workers=1 the parallel shim runs inline but must draw the
-        same block-seeded sample as the serial shim."""
-        serial = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 8, seed=5)
-        inline = run_monte_carlo_parallel(
-            fast_params, LBP1(0.5), (20, 5), 8, seed=5, max_workers=1
+        """A one-slot process pool draws the same block-seeded sample as a
+        serial run."""
+        serial = _estimate(fast_params, LBP1(0.5), (20, 5), 8, seed=5)
+        single_slot = _estimate(
+            fast_params, LBP1(0.5), (20, 5), 8, seed=5,
+            executor="process", workers=1,
         )
         np.testing.assert_array_equal(
-            serial.completion_times, inline.completion_times
+            serial.completion_times, single_slot.completion_times
         )
-        assert serial.summary == inline.summary
+        assert serial.summary == single_slot.summary
 
     def test_process_pool_execution(self, fast_params):
         """A small run through real worker processes."""
-        estimate = run_monte_carlo_parallel(
-            fast_params, NoBalancing(), (10, 10), 8, seed=3, max_workers=2
+        estimate = _estimate(
+            fast_params, NoBalancing(), (10, 10), 8, seed=3,
+            executor="process", workers=2,
         )
         assert estimate.num_realisations == 8
         assert estimate.mean_completion_time > 0
 
     def test_parallel_matches_inline_results(self, fast_params):
-        inline = run_monte_carlo_parallel(
-            fast_params, NoBalancing(), (10, 10), 6, seed=9, max_workers=1
+        inline = _estimate(
+            fast_params, NoBalancing(), (10, 10), 6, seed=9, executor="inline"
         )
-        pooled = run_monte_carlo_parallel(
-            fast_params, NoBalancing(), (10, 10), 6, seed=9, max_workers=2
+        pooled = _estimate(
+            fast_params, NoBalancing(), (10, 10), 6, seed=9,
+            executor="process", workers=2,
         )
         np.testing.assert_array_equal(
             inline.completion_times, pooled.completion_times
@@ -47,26 +72,6 @@ class TestParallelRunner:
 
 
 class TestWorkerCap:
-    def test_pool_slots_capped_at_work_item_count(self, fast_params):
-        """A tiny ensemble must not fork idle workers beyond its size."""
-        from repro.montecarlo.engine import EngineRequest, run_engine
-
-        report = run_engine(
-            EngineRequest(
-                params=fast_params,
-                policy=NoBalancing(),
-                workload=(5, 5),
-                num_realisations=3,
-                seed=1,
-                block_size=1,  # 3 blocks -> 3 work items
-                executor="process",
-                workers=8,
-            )
-        )
-        # 8 workers requested, but only 3 items exist: the pool is capped.
-        assert report.shards_dispatched == 3
-        assert set(report.slot_completed) <= {"process-0", "process-1", "process-2"}
-
     def test_default_pool_size_also_capped(self):
         from repro.montecarlo.pooling import cap_pool_size
 
@@ -76,17 +81,13 @@ class TestWorkerCap:
 class TestExternalExecutor:
     def test_external_executor_matches_inline_and_stays_open(self, fast_params):
         """An externally-managed pool is reused as-is and never shut down."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        inline = run_monte_carlo_parallel(
-            fast_params, LBP1(0.5), (20, 5), 6, seed=5, max_workers=1
-        )
+        inline = _estimate(fast_params, LBP1(0.5), (20, 5), 6, seed=5)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            first = run_monte_carlo_parallel(
+            first = _estimate(
                 fast_params, LBP1(0.5), (20, 5), 6, seed=5, executor=pool
             )
             # The same pool serves a second call (amortised start-up).
-            second = run_monte_carlo_parallel(
+            second = _estimate(
                 fast_params, LBP1(0.5), (20, 5), 6, seed=5, executor=pool
             )
             assert pool.submit(lambda: 1).result() == 1
@@ -98,24 +99,18 @@ class TestExternalExecutor:
         )
 
     def test_executor_takes_precedence_over_max_workers(self, fast_params):
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=1) as pool:
-            estimate = run_monte_carlo_parallel(
+            estimate = _estimate(
                 fast_params, NoBalancing(), (10, 10), 4, seed=3,
-                max_workers=1, executor=pool,
+                executor=pool, workers=1,
             )
         assert estimate.num_realisations == 4
 
 
 class TestAutoBackendDispatch:
     def test_reference_backend_matches_default_dispatch(self, fast_params):
-        from repro.core.policies import LBP1
-
-        default = run_monte_carlo_auto(
-            fast_params, LBP1(0.5), (20, 5), 6, seed=9
-        )
-        explicit = run_monte_carlo_auto(
+        default = _estimate(fast_params, LBP1(0.5), (20, 5), 6, seed=9)
+        explicit = _estimate(
             fast_params, LBP1(0.5), (20, 5), 6, seed=9, backend="reference"
         )
         np.testing.assert_array_equal(
@@ -123,14 +118,12 @@ class TestAutoBackendDispatch:
         )
 
     def test_vectorized_backend_pool_arguments_change_nothing(self, fast_params):
-        from repro.core.policies import LBP1
-
-        serial = run_monte_carlo_auto(
+        serial = _estimate(
             fast_params, LBP1(0.5), (20, 5), 6, seed=9, backend="vectorized"
         )
-        pooled = run_monte_carlo_auto(
+        pooled = _estimate(
             fast_params, LBP1(0.5), (20, 5), 6, seed=9,
-            workers=2, backend="vectorized",
+            backend="vectorized", executor="process", workers=2,
         )
         np.testing.assert_array_equal(
             serial.completion_times, pooled.completion_times

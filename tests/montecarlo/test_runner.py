@@ -5,7 +5,21 @@ import pytest
 
 from repro.core.completion_time import CompletionTimeSolver
 from repro.core.policies import LBP1, NoBalancing
-from repro.montecarlo.runner import MonteCarloEstimate, MonteCarloRunner, run_monte_carlo
+from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.runner import MonteCarloEstimate, MonteCarloRunner
+
+
+def _estimate(params, policy, workload, num_realisations, **kwargs):
+    """One inline engine run of an ad-hoc request."""
+    return run_engine(
+        EngineRequest(
+            params=params,
+            policy=policy,
+            workload=workload,
+            num_realisations=num_realisations,
+            **kwargs,
+        )
+    ).estimate
 
 
 class TestRunner:
@@ -15,7 +29,7 @@ class TestRunner:
             runner.run(0)
 
     def test_estimate_contents(self, fast_params):
-        estimate = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 10, seed=1)
+        estimate = _estimate(fast_params, LBP1(0.5), (20, 5), 10, seed=1)
         assert isinstance(estimate, MonteCarloEstimate)
         assert estimate.num_realisations == 10
         assert len(estimate.completion_times) == 10
@@ -24,12 +38,12 @@ class TestRunner:
         assert estimate.summary.ci_low <= estimate.mean_completion_time <= estimate.summary.ci_high
 
     def test_reproducible_with_same_seed(self, fast_params):
-        a = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 5, seed=3).completion_times
-        b = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 5, seed=3).completion_times
+        a = _estimate(fast_params, LBP1(0.5), (20, 5), 5, seed=3).completion_times
+        b = _estimate(fast_params, LBP1(0.5), (20, 5), 5, seed=3).completion_times
         assert np.allclose(a, b)
 
     def test_realisations_are_independent(self, fast_params):
-        estimate = run_monte_carlo(fast_params, NoBalancing(), (30, 30), 20, seed=2)
+        estimate = _estimate(fast_params, NoBalancing(), (30, 30), 20, seed=2)
         assert len(np.unique(estimate.completion_times)) > 1
 
     def test_results_kept_when_requested(self, fast_params):
@@ -41,7 +55,7 @@ class TestRunner:
         assert all(result.total_completed == 10 for result in estimate.results)
 
     def test_results_dropped_by_default(self, fast_params):
-        estimate = run_monte_carlo(fast_params, NoBalancing(), (5, 5), 4, seed=0)
+        estimate = _estimate(fast_params, NoBalancing(), (5, 5), 4, seed=0)
         assert estimate.results == []
 
     def test_progress_callback(self, fast_params):
@@ -51,7 +65,7 @@ class TestRunner:
         assert seen == [0, 1, 2]
 
     def test_percentiles(self, fast_params):
-        estimate = run_monte_carlo(fast_params, NoBalancing(), (20, 20), 30, seed=4)
+        estimate = _estimate(fast_params, NoBalancing(), (20, 20), 30, seed=4)
         assert estimate.percentile(0) == pytest.approx(estimate.completion_times.min())
         assert estimate.percentile(100) == pytest.approx(estimate.completion_times.max())
 
@@ -69,7 +83,7 @@ class TestStatisticalAgreementWithTheory:
         """The simulator and eq. (4) describe the same system."""
         solver = CompletionTimeSolver(fast_params)
         predicted = solver.lbp1((40, 10), 0.4, sender=0, receiver=1).mean
-        estimate = run_monte_carlo(
+        estimate = _estimate(
             fast_params, LBP1(0.4, sender=0, receiver=1), (40, 10), 250, seed=11
         )
         # within 3 standard errors
@@ -79,10 +93,10 @@ class TestStatisticalAgreementWithTheory:
 
 class TestBackendSelection:
     def test_default_backend_matches_explicit_reference(self, fast_params):
-        explicit = run_monte_carlo(
+        explicit = _estimate(
             fast_params, LBP1(0.5), (20, 5), 5, seed=3, backend="reference"
         )
-        implicit = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 5, seed=3)
+        implicit = _estimate(fast_params, LBP1(0.5), (20, 5), 5, seed=3)
         np.testing.assert_array_equal(
             explicit.completion_times, implicit.completion_times
         )
@@ -92,7 +106,7 @@ class TestBackendSelection:
         one-block ensemble equals the primitive seeded with block 0's seed."""
         from repro.distributed.plan import block_seed
 
-        engine_run = run_monte_carlo(fast_params, LBP1(0.5), (20, 5), 5, seed=3)
+        engine_run = _estimate(fast_params, LBP1(0.5), (20, 5), 5, seed=3)
         primitive = MonteCarloRunner(
             fast_params, LBP1(0.5), (20, 5), seed=block_seed(3, 0)
         ).run(5)
@@ -101,7 +115,7 @@ class TestBackendSelection:
         )
 
     def test_vectorized_backend_runs_and_aggregates(self, fast_params):
-        estimate = run_monte_carlo(
+        estimate = _estimate(
             fast_params, LBP1(0.5), (20, 5), 12, seed=3, backend="vectorized"
         )
         assert estimate.num_realisations == 12
@@ -119,10 +133,10 @@ class TestBackendSelection:
         assert not np.array_equal(first, second)
 
     def test_vectorized_backend_is_deterministic(self, fast_params):
-        a = run_monte_carlo(
+        a = _estimate(
             fast_params, LBP1(0.5), (20, 5), 8, seed=3, backend="vectorized"
         )
-        b = run_monte_carlo(
+        b = _estimate(
             fast_params, LBP1(0.5), (20, 5), 8, seed=3, backend="vectorized"
         )
         np.testing.assert_array_equal(a.completion_times, b.completion_times)

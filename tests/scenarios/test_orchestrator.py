@@ -77,17 +77,19 @@ class TestRun:
 
     def test_mc_point_matches_direct_monte_carlo(self, orchestrator):
         from repro.core.policies.lbp1 import LBP1
-        from repro.montecarlo.runner import run_monte_carlo
+        from repro.montecarlo.engine import EngineRequest, run_engine
 
         spec = tiny_spec()
         result = orchestrator.run(spec)
-        direct = run_monte_carlo(
-            spec.system.to_parameters(),
-            LBP1(0.35, sender=0, receiver=1),
-            spec.workload,
-            spec.mc_realisations,
-            seed=spec.seed,
-        )
+        direct = run_engine(
+            EngineRequest(
+                params=spec.system.to_parameters(),
+                policy=LBP1(0.35, sender=0, receiver=1),
+                workload=spec.workload,
+                num_realisations=spec.mc_realisations,
+                seed=spec.seed,
+            )
+        ).estimate
         np.testing.assert_array_equal(
             result.arrays["completion_times"], direct.completion_times
         )

@@ -260,7 +260,7 @@ class TestFleetEndpoints:
 
     def test_claim_telemetry_lands_on_metrics_and_fleet(self, client):
         worker_id = client.register_worker("w-tele")
-        item = client.claim_work(
+        items = client.claim_work_batch(
             worker_id,
             telemetry={
                 "name": "w-tele",
@@ -268,7 +268,7 @@ class TestFleetEndpoints:
                 "metrics": self._worker_snapshot(blocks=7),
             },
         )
-        assert item is None  # nothing queued; the telemetry still lands
+        assert items == []  # nothing queued; the telemetry still lands
 
         text = client.metrics()
         assert _series_value(
@@ -294,8 +294,8 @@ class TestFleetEndpoints:
             "seq": 5,
             "metrics": self._worker_snapshot(blocks=11),
         }
-        client.claim_work(worker_id, telemetry=payload)
-        client.claim_work(worker_id, telemetry=payload)  # HTTP retry re-post
+        client.claim_work_batch(worker_id, telemetry=payload)
+        client.claim_work_batch(worker_id, telemetry=payload)  # HTTP retry re-post
         text = client.metrics()
         assert _series_value(
             text, "repro_worker_blocks_total", 'worker="w-retry"'
@@ -303,10 +303,10 @@ class TestFleetEndpoints:
 
     def test_malformed_telemetry_is_ignored_not_an_error(self, client):
         worker_id = client.register_worker("w-bad")
-        item = client.claim_work(
+        items = client.claim_work_batch(
             worker_id, telemetry={"metrics": "not-a-mapping"}
         )
-        assert item is None
+        assert items == []
         fleet = client.fleet()
         assert all(w["name"] != "w-bad" for w in fleet["workers"])
 

@@ -14,14 +14,28 @@ from repro import (
     LBP1,
     LBP2,
     CompletionTimeSolver,
+    EngineRequest,
     NoBalancing,
     optimal_gain_lbp1,
     optimal_gain_no_failure,
     paper_parameters,
-    run_monte_carlo,
+    run_engine,
 )
 from repro.core.distribution import completion_time_cdf_lbp1
 from repro.montecarlo.statistics import evaluate_empirical_cdf
+
+
+def _estimate(params, policy, workload, num_realisations, seed):
+    """One inline engine run of an ad-hoc request."""
+    return run_engine(
+        EngineRequest(
+            params=params,
+            policy=policy,
+            workload=workload,
+            num_realisations=num_realisations,
+            seed=seed,
+        )
+    ).estimate
 
 
 class TestPublicAPI:
@@ -50,7 +64,7 @@ class TestTheorySimulationAgreement:
         solver = CompletionTimeSolver(params)
         sender = 0 if workload[0] >= workload[1] else 1
         predicted = solver.lbp1(workload, gain, sender=sender, receiver=1 - sender).mean
-        estimate = run_monte_carlo(
+        estimate = _estimate(
             params,
             LBP1(gain, sender=sender, receiver=1 - sender),
             workload,
@@ -67,7 +81,7 @@ class TestTheorySimulationAgreement:
         analytical = completion_time_cdf_lbp1(
             params, workload, gain, times, sender=1, receiver=0
         )
-        estimate = run_monte_carlo(
+        estimate = _estimate(
             params, LBP1(gain, sender=1, receiver=0), workload, 250, seed=123
         )
         empirical = evaluate_empirical_cdf(estimate.completion_times, times)
@@ -90,35 +104,35 @@ class TestPaperQualitativeFindings:
         """
         params = paper_parameters()
         optimum = optimal_gain_lbp1(params, (100, 60))
-        lbp1 = run_monte_carlo(
+        lbp1 = _estimate(
             params,
             LBP1(optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver),
             (100, 60),
             400,
             seed=77,
         )
-        lbp2 = run_monte_carlo(params, LBP2(1.0), (100, 60), 400, seed=77)
+        lbp2 = _estimate(params, LBP2(1.0), (100, 60), 400, seed=77)
         assert lbp2.mean_completion_time < lbp1.mean_completion_time
 
     def test_lbp1_beats_lbp2_at_large_delay(self):
         """Table 3: at >= 2 s/task the preemptive policy wins clearly."""
         params = paper_parameters(mean_delay_per_task=2.0)
         optimum = optimal_gain_lbp1(params, (100, 60))
-        lbp1 = run_monte_carlo(
+        lbp1 = _estimate(
             params,
             LBP1(optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver),
             (100, 60),
             200,
             seed=31,
         )
-        lbp2 = run_monte_carlo(params, LBP2(1.0), (100, 60), 200, seed=32)
+        lbp2 = _estimate(params, LBP2(1.0), (100, 60), 200, seed=32)
         assert lbp1.mean_completion_time < lbp2.mean_completion_time
 
     def test_balancing_beats_doing_nothing(self):
         params = paper_parameters()
-        nothing = run_monte_carlo(params, NoBalancing(), (100, 60), 150, seed=41)
+        nothing = _estimate(params, NoBalancing(), (100, 60), 150, seed=41)
         optimum = optimal_gain_lbp1(params, (100, 60))
-        tuned = run_monte_carlo(
+        tuned = _estimate(
             params,
             LBP1(optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver),
             (100, 60),
@@ -130,7 +144,7 @@ class TestPaperQualitativeFindings:
     def test_lbp2_mc_value_close_to_paper(self):
         """The paper's MC estimate for LBP-2 on (100, 60) is 112.43 s."""
         params = paper_parameters()
-        estimate = run_monte_carlo(params, LBP2(1.0), (100, 60), 300, seed=51)
+        estimate = _estimate(params, LBP2(1.0), (100, 60), 300, seed=51)
         assert estimate.mean_completion_time == pytest.approx(112.43, rel=0.06)
 
     def test_higher_failure_rate_shrinks_optimal_gain(self):

@@ -9,6 +9,7 @@ just CI.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import tomllib
@@ -16,6 +17,7 @@ import tomllib
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +49,36 @@ def test_version_is_dynamic_and_importable(pyproject):
 def test_runtime_dependencies_match_reality(pyproject):
     deps = set(pyproject["project"]["dependencies"])
     assert deps == {"numpy", "scipy"}
+
+
+def _repro_imports(path):
+    """``(module, name)`` for every import of ``repro``/``repro.*`` in a
+    source file (``name`` is ``None`` for a plain ``import``)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "repro" or node.module.startswith("repro."):
+                for alias in node.names:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro" or alias.name.startswith("repro."):
+                    yield alias.name, None
+
+
+def test_examples_exist():
+    assert EXAMPLES
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_imports_resolve(path):
+    """No test runs the examples, so at least every ``repro`` name they
+    import must exist (a removed API would otherwise break them silently)."""
+    for module_name, name in _repro_imports(path):
+        module = importlib.import_module(module_name)
+        if name is None or hasattr(module, name):
+            continue
+        # `from repro.pkg import submodule` resolves by importing it.
+        try:
+            importlib.import_module(f"{module_name}.{name}")
+        except ModuleNotFoundError:
+            pytest.fail(f"{path.name} imports {name!r} from {module_name}, which has none")
