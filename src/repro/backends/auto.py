@@ -18,7 +18,6 @@ hash and the shard store's plan key salt with the literal backend name, so
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.backends.base import ExecutionBackend, get_backend, register_backend
@@ -61,8 +60,6 @@ class AutoBackend(ExecutionBackend):
         seed: "SeedLike" = None,
         horizon: Optional[float] = None,
         confidence_level: float = 0.95,
-        workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         **system_kwargs,
     ) -> "MonteCarloEstimate":
         backend = self.select(params, policy, workload, **system_kwargs)
@@ -74,8 +71,6 @@ class AutoBackend(ExecutionBackend):
             seed=seed,
             horizon=horizon,
             confidence_level=confidence_level,
-            workers=workers,
-            executor=executor,
             **system_kwargs,
         )
 

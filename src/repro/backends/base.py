@@ -2,23 +2,25 @@
 
 An execution backend is a strategy for producing a Monte-Carlo estimate of
 the overall completion time: *how* the N independent realisations of a
-``(params, policy, workload)`` triple are computed.  Two implementations
+``(params, policy, workload)`` triple are computed.  Three implementations
 ship with the package:
 
 * ``"reference"`` (:mod:`repro.backends.reference`) — the event-driven
-  simulator of :mod:`repro.cluster`, one realisation at a time (optionally
-  fanned out over a process pool).  It supports every feature of the model
-  (traces, arbitrary policies, deterministic delays) and is the semantic
-  ground truth.
+  simulator of :mod:`repro.cluster`, one realisation at a time,
+  in-process.  It supports every feature of the model (traces, arbitrary
+  policies, deterministic delays) and is the semantic ground truth.
 * ``"vectorized"`` (:mod:`repro.backends.vectorized`) — a NumPy batch
   kernel that advances *all* realisations simultaneously with array-level
   sampling.  It is an exact sampler of the same continuous-time Markov
   chain, typically one to two orders of magnitude faster, but supports only
   the CTMC-expressible subset of the model (it raises
   :class:`BackendUnsupportedError` otherwise).
+* ``"auto"`` (:mod:`repro.backends.auto`) — the vectorized kernel where
+  the configuration supports it, the reference simulator everywhere else.
 
+Each :meth:`~ExecutionBackend.run_batch` call executes one seed block
+in-process; fanning blocks out over executor slots is the engine's job.
 Backends register themselves by name; everything that runs Monte-Carlo —
-:class:`~repro.montecarlo.runner.MonteCarloRunner`,
 :func:`~repro.montecarlo.engine.run_engine`, the scenario orchestrator and
 the CLI — accepts a backend name and resolves it here.
 This module deliberately imports none of the heavy numerical stack, so the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import importlib
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,16 +86,10 @@ class ExecutionBackend(ABC):
         seed: "SeedLike" = None,
         horizon: Optional[float] = None,
         confidence_level: float = 0.95,
-        workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         **system_kwargs,
     ) -> "MonteCarloEstimate":
-        """Run ``num_realisations`` realisations and aggregate them.
-
-        ``workers``/``executor`` size an optional process pool; backends
-        that do not parallelise that way (the vectorized kernel is a single
-        array program) accept and ignore them.
-        """
+        """Run ``num_realisations`` realisations (one seed block,
+        in-process) and aggregate them."""
 
     def ensure_supported(
         self,

@@ -677,7 +677,7 @@ def run_distributed_benchmark(
     seed: Optional[int] = None,
     tracer=None,
 ) -> DistributedBenchmarkReport:
-    """Time the sharded runner at several process-pool sizes.
+    """Time sharded engine runs at several process-pool sizes.
 
     Shard caching is disabled (the harness measures computation) and every
     run reuses the same spec, so the merged statistics must agree exactly
@@ -691,7 +691,7 @@ def run_distributed_benchmark(
     must not depend on the caller wanting the NDJSON.
     """
     from repro.distributed.executors import ProcessShardExecutor
-    from repro.distributed.runner import run_sharded_spec
+    from repro.montecarlo.engine import EngineRequest, run_engine
     from repro.obs import trace as obs_trace
 
     spec = _resolve_bench_spec(scenario, quick)
@@ -701,6 +701,10 @@ def run_distributed_benchmark(
         spec = spec.with_(shards=int(shards))
     elif spec.shards < 1:
         spec = spec.with_(shards=2 * max(worker_counts))
+    if spec.shards < 1:
+        raise ValueError(
+            f"the distributed benchmark needs shards >= 1, got {spec.shards}"
+        )
 
     report = DistributedBenchmarkReport(
         scenario=spec.name,
@@ -720,9 +724,7 @@ def run_distributed_benchmark(
             with obs_trace.span("bench.distributed", workers=int(count)):
                 with ProcessShardExecutor(count) as executor:
                     executor.warm()  # time computation, not process start-up
-                    run = run_sharded_spec(
-                        spec, executor=executor, use_store=False
-                    )
+                    run = run_engine(EngineRequest(spec=spec, executor=executor))
             breakdown: Dict[str, object] = dict(run.timings)
             breakdown["attribution"] = dict(run.attribution)
             report.timings.append(

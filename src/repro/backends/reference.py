@@ -7,17 +7,14 @@ full feature set of the model (every policy, every delay law, traces,
 per-realisation results) and is the ground truth the vectorized kernel is
 validated against.
 
-Parallelism is no longer this backend's concern: the unified engine
+Parallelism is not this backend's concern: the unified engine
 (:mod:`repro.montecarlo.engine`) plans ensembles into seed blocks and
 fans the blocks out over executors; each ``run_batch`` call executes one
-block in-process.  The ``workers``/``executor`` protocol arguments are
-accepted for interface parity and ignored, exactly like the vectorized
-kernel ignores them.
+block in-process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from typing import Optional, Sequence, Union
 
 from repro.backends.base import ExecutionBackend, register_backend
@@ -42,13 +39,8 @@ class ReferenceBackend(ExecutionBackend):
         seed: SeedLike = None,
         horizon: Optional[float] = None,
         confidence_level: float = 0.95,
-        workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         **system_kwargs,
     ) -> MonteCarloEstimate:
-        # Pool arguments are the engine's job now (it fans whole blocks out
-        # to executor slots); a block itself always runs in-process.
-        del workers, executor
         runner = MonteCarloRunner(
             params, policy, workload, seed=seed, **system_kwargs
         )

@@ -37,7 +37,6 @@ backend remains the fallback for those.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -493,13 +492,8 @@ class VectorizedBackend(ExecutionBackend):
         seed: SeedLike = None,
         horizon: Optional[float] = None,
         confidence_level: float = 0.95,
-        workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         **system_kwargs,
     ) -> MonteCarloEstimate:
-        # workers/executor are accepted for interface parity and ignored:
-        # the kernel is a single array program, not a task farm.
-        del workers, executor
         self.ensure_supported(params, policy, workload, **system_kwargs)
         workload_obj = (
             workload if isinstance(workload, Workload) else Workload(tuple(workload))

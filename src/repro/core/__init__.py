@@ -32,6 +32,8 @@ namely
 # close to a second of import time, while frequent consumers (the scenario
 # spec/cache layer, the CLI's cached paths) only need the parameter
 # dataclasses.  Attribute access resolves and memoises on first use.
+from repro._lazy import lazy_exports
+
 _EXPORTS = {
     "repro.core.parameters": (
         "NodeParameters",
@@ -65,45 +67,4 @@ _EXPORTS = {
     ),
 }
 
-_NAME_TO_MODULE = {
-    name: module for module, names in _EXPORTS.items() for name in names
-}
-
-
-def __getattr__(name: str):
-    module_name = _NAME_TO_MODULE.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
-
-__all__ = [
-    "LBP1",
-    "LBP2",
-    "CompletionTimeSolver",
-    "GainOptimizationResult",
-    "LoadBalancingPolicy",
-    "NoBalancing",
-    "NodeParameters",
-    "ProportionalOneShot",
-    "SendAllOnFailure",
-    "SystemParameters",
-    "Transfer",
-    "TransferDelayModel",
-    "completion_time_cdf",
-    "completion_time_cdf_lbp1",
-    "expected_completion_time",
-    "expected_completion_time_lbp1",
-    "expected_completion_time_no_failure",
-    "optimal_gain_lbp1",
-    "optimal_gain_no_failure",
-    "paper_parameters",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -132,28 +132,6 @@ class NodeParameters:
         """A copy of this node with failures switched off (no-failure case)."""
         return replace(self, failure_rate=0.0, recovery_rate=0.0, initially_up=True)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-safe description; inverse of :meth:`from_dict`."""
-        return {
-            "service_rate": self.service_rate,
-            "failure_rate": self.failure_rate,
-            "recovery_rate": self.recovery_rate,
-            "initially_up": self.initially_up,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NodeParameters":
-        return cls(
-            service_rate=float(data["service_rate"]),
-            failure_rate=float(data.get("failure_rate", 0.0)),
-            recovery_rate=float(data.get("recovery_rate", 0.0)),
-            initially_up=bool(data.get("initially_up", True)),
-            name=str(data.get("name", "")),
-        )
-
 
 @dataclass(frozen=True)
 class TransferDelayModel:
@@ -206,26 +184,6 @@ class TransferDelayModel:
     def with_mean_delay_per_task(self, mean_delay_per_task: float) -> "TransferDelayModel":
         """Copy of the model with a different per-task mean delay."""
         return replace(self, mean_delay_per_task=mean_delay_per_task)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-safe description; inverse of :meth:`from_dict`."""
-        return {
-            "mean_delay_per_task": self.mean_delay_per_task,
-            "fixed_overhead": self.fixed_overhead,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransferDelayModel":
-        return cls(
-            mean_delay_per_task=float(
-                data.get("mean_delay_per_task", PAPER_MEAN_DELAY_PER_TASK)
-            ),
-            fixed_overhead=float(data.get("fixed_overhead", 0.0)),
-            kind=str(data.get("kind", "exponential")),
-        )
 
 
 @dataclass(frozen=True)
@@ -347,34 +305,6 @@ class SystemParameters:
     ) -> "SystemParameters":
         """Attach per-link delay overrides."""
         return replace(self, pairwise_delay_overrides=tuple(overrides))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-safe description (including per-link delay overrides,
-        which :class:`~repro.scenarios.spec.SystemSpec` cannot express);
-        inverse of :meth:`from_dict`."""
-        return {
-            "nodes": [node.to_dict() for node in self.nodes],
-            "delay": self.delay.to_dict(),
-            "pairwise_delay_overrides": [
-                [[src, dst], model.to_dict()]
-                for (src, dst), model in self.pairwise_delay_overrides
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemParameters":
-        return cls(
-            nodes=tuple(
-                NodeParameters.from_dict(node) for node in data["nodes"]
-            ),
-            delay=TransferDelayModel.from_dict(data.get("delay", {})),
-            pairwise_delay_overrides=tuple(
-                ((int(src), int(dst)), TransferDelayModel.from_dict(model))
-                for (src, dst), model in data.get("pairwise_delay_overrides", ())
-            ),
-        )
 
     def require_two_nodes(self) -> None:
         """Raise if this is not a two-node system (needed by eq. (4)/(5))."""

@@ -14,8 +14,10 @@ exact-merge accumulators in :mod:`repro.montecarlo.statistics`).
 
 The pipeline itself — plan → execute → merge — lives in
 :mod:`repro.montecarlo.engine` and serves *every* Monte-Carlo run, not
-just explicitly sharded ones; :func:`run_sharded_spec` is its
-spec-oriented entry point.
+just explicitly sharded ones: a sharded spec run is
+``run_engine(EngineRequest(spec=..., executor=..., store=...))``.
+Spec-described runs travel as JSON work items to any executor; ad-hoc
+runs (live policy or backend objects) run inline or on a process pool.
 
 Re-exports are lazy (PEP 562): importing this package costs nothing, which
 keeps the service's request path numpy-free.
@@ -42,12 +44,6 @@ _EXPORTS = {
         "plan_shards",
         "shard_plan_key",
     ),
-    "repro.distributed.runner": (
-        "ShardedRunReport",
-        "int_seed",
-        "policy_spec_of",
-        "run_sharded_spec",
-    ),
     "repro.distributed.scheduler": (
         "ASSIGNMENT_POLICIES",
         "ShardExecutionError",
@@ -56,8 +52,10 @@ _EXPORTS = {
     "repro.distributed.store": ("ShardStore",),
     "repro.distributed.work": (
         "execute_work_item",
+        "int_seed",
         "make_adhoc_item",
         "make_work_item",
+        "policy_spec_of",
         "run_block",
     ),
     "repro.distributed.worker": ("run_worker",),

@@ -11,18 +11,14 @@ seed blocks.  Two flavours exist, sharing one schema:
 * **ad-hoc items** (:func:`make_adhoc_item`) carry live Python objects
   (parameters, a policy instance, ``system_kwargs``) for runs the spec
   schema cannot express.  They move by reference (inline executor) or by
-  pickle (process pools); before crossing a JSON transport the engine
-  folds them through :func:`adhoc_wire_payload`, which renders the
-  parameters as plain dicts and the policy as a registered-builder
-  reference (:mod:`repro.distributed.policy_registry`) — no pickle ever
-  touches the wire.  Payloads that cannot be rendered (a live backend
-  instance, an unregistered custom policy, non-JSON ``system_kwargs``)
-  still refuse JSON transports.
+  pickle (process pools) and never cross a JSON transport: the engine
+  refuses an ad-hoc run on the remote worker board up front.
 
-Each block runs through the requested
-:class:`~repro.backends.base.ExecutionBackend` with the block's own seed
-stream (:func:`repro.distributed.plan.block_seed`), then reduces to a JSON
-payload: the completion-time sample plus a mergeable
+Both flavours resolve to ``(params, policy, workload, seed, backend)``
+and run through one execute-and-reduce step: the requested
+:class:`~repro.backends.base.ExecutionBackend` executes the block with
+its own seed stream (:func:`repro.distributed.plan.block_seed`), and the
+sample reduces to a JSON payload — the completion times plus a mergeable
 :class:`~repro.montecarlo.statistics.RunningStatistics` state.  The
 serialization helpers :func:`policy_spec_of` and :func:`int_seed` — which
 fold programmatically-built policies and spawned seeds back into spec
@@ -168,9 +164,7 @@ def make_adhoc_item(
     (the master seed), ``backend``, ``horizon`` and ``system_kwargs`` —
     everything :meth:`ExecutionBackend.run_batch` needs.  The item is
     picklable whenever its contents are, which covers the inline and
-    process-pool executors; for JSON transports the engine first renders
-    the payload through :func:`adhoc_wire_payload` (and refuses the
-    transport when that is impossible).
+    process-pool executors — the only ones the engine hands it to.
     """
     return {
         "version": WORK_ITEM_VERSION,
@@ -180,72 +174,6 @@ def make_adhoc_item(
         "adhoc": payload,
         "blocks": [list(block.to_item()) for block in blocks],
         "confidence_level": confidence_level,
-    }
-
-
-def _seed_to_wire(seed: Any) -> Optional[int]:
-    """Collapse ``seed`` to a wire-safe int *iff* it preserves the stream.
-
-    :func:`~repro.distributed.plan.block_seed` derives block streams from
-    ``(entropy, spawn_key)``; an integer ``e`` and ``SeedSequence(e)`` are
-    interchangeable, so a root-level sequence (empty spawn key, integer
-    entropy) ships as its entropy.  A spawned/child sequence would change
-    streams if collapsed — return ``None`` and keep the run off JSON
-    transports rather than silently alter its results.
-    """
-    import numpy as np
-
-    if seed is None:
-        return 0
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        if not tuple(seed.spawn_key) and isinstance(seed.entropy, int):
-            return int(seed.entropy)
-    return None
-
-
-def adhoc_wire_payload(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """A pure-JSON rendering of an ad-hoc payload, or ``None``.
-
-    Renders ``params`` via :meth:`SystemParameters.to_dict` (which, unlike
-    ``SystemSpec``, keeps pairwise delay overrides) and ``policy`` as a
-    registered-builder reference.  ``None`` means the payload genuinely
-    cannot travel: a live backend instance, an unregistered custom policy,
-    non-JSON ``system_kwargs``, or a spawned master ``SeedSequence`` whose
-    stream an integer cannot reproduce.
-    """
-    import json as _json
-
-    from repro.core.parameters import SystemParameters
-    from repro.distributed.policy_registry import policy_wire_ref
-
-    params = payload.get("params")
-    if not isinstance(params, SystemParameters):
-        return None
-    backend = payload.get("backend")
-    if backend is not None and not isinstance(backend, str):
-        return None
-    policy_ref = policy_wire_ref(payload.get("policy"))
-    if policy_ref is None:
-        return None
-    seed = _seed_to_wire(payload.get("seed"))
-    if seed is None:
-        return None
-    system_kwargs = dict(payload.get("system_kwargs") or {})
-    try:
-        _json.dumps(system_kwargs)
-    except (TypeError, ValueError):
-        return None
-    horizon = payload.get("horizon")
-    return {
-        "params": params.to_dict(),
-        "policy": policy_ref,
-        "workload": [int(m) for m in payload["workload"]],
-        "seed": seed,
-        "backend": backend,
-        "horizon": None if horizon is None else float(horizon),
-        "system_kwargs": system_kwargs,
     }
 
 
@@ -277,14 +205,27 @@ def _spec_runtime(spec_dict: Dict[str, Any]):
     return _SPEC_MEMO["runtime"]
 
 
-def run_block(
-    spec_dict: Dict[str, Any], block: SeedBlock
+def _execute_block(
+    block: SeedBlock,
+    backend: Any,
+    params: Any,
+    policy: Any,
+    workload: Any,
+    master_seed: Any,
+    horizon: Optional[float] = None,
+    system_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Execute one seed block and reduce it to a JSON-safe payload."""
+    """Run one seed block through ``backend`` and reduce it to a JSON-safe
+    payload — the one code path every block, spec or ad-hoc, runs through.
+
+    The master seed may be a live ``SeedSequence``;
+    :func:`~repro.distributed.plan.block_seed` extends its spawn key, so an
+    integer seed and ``SeedSequence(seed)`` draw identical block streams —
+    which is what keeps ad-hoc and spec-described runs of the same
+    configuration bit-identical.
+    """
     from repro.montecarlo.statistics import RunningStatistics
 
-    with trace.span("worker.deserialize", block=block.index):
-        spec, params, policy, backend = _spec_runtime(spec_dict)
     started = perf_counter()
     with trace.span(
         "worker.compute",
@@ -294,9 +235,11 @@ def run_block(
         estimate = backend.run_batch(
             params,
             policy,
-            spec.workload,
+            workload,
             block.num_realisations,
-            seed=block_seed(spec.seed, block.index),
+            seed=block_seed(master_seed, block.index),
+            horizon=horizon,
+            **(system_kwargs or {}),
         )
     compute_seconds = perf_counter() - started
     times = [float(t) for t in estimate.completion_times]
@@ -315,62 +258,31 @@ def run_block(
     }
 
 
+def run_block(
+    spec_dict: Dict[str, Any], block: SeedBlock
+) -> Dict[str, Any]:
+    """Execute one seed block of a spec item."""
+    with trace.span("worker.deserialize", block=block.index):
+        spec, params, policy, backend = _spec_runtime(spec_dict)
+    return _execute_block(block, backend, params, policy, spec.workload, spec.seed)
+
+
 def run_adhoc_block(payload: Dict[str, Any], block: SeedBlock) -> Dict[str, Any]:
-    """Execute one seed block of an ad-hoc item (same reduction as spec items).
-
-    The master seed in ``payload`` may be a live ``SeedSequence``;
-    :func:`~repro.distributed.plan.block_seed` extends its spawn key, so an
-    integer seed and ``SeedSequence(seed)`` draw identical block streams —
-    which is what keeps ad-hoc and spec-described runs of the same
-    configuration bit-identical.
-
-    Payloads arriving over a JSON transport (see :func:`adhoc_wire_payload`)
-    carry dict-shaped ``params``/``policy``; they are rehydrated here, on
-    the worker, inside the ``worker.deserialize`` span.
-    """
+    """Execute one seed block of an ad-hoc item (live objects, no rebuild)."""
     from repro.backends.base import resolve_backend
-
-    from repro.montecarlo.statistics import RunningStatistics
 
     with trace.span("worker.deserialize", block=block.index):
         backend = resolve_backend(payload.get("backend"))
-        params = payload["params"]
-        policy = payload["policy"]
-        workload = tuple(payload["workload"])
-        if isinstance(params, dict):
-            from repro.core.parameters import SystemParameters
-
-            params = SystemParameters.from_dict(params)
-        if isinstance(policy, dict):
-            from repro.distributed.policy_registry import resolve_policy_ref
-
-            policy = resolve_policy_ref(policy, params, workload)
-    started = perf_counter()
-    with trace.span(
-        "worker.compute",
-        block=block.index,
-        realisations=block.num_realisations,
-    ):
-        estimate = backend.run_batch(
-            params,
-            policy,
-            workload,
-            block.num_realisations,
-            seed=block_seed(payload.get("seed"), block.index),
-            horizon=payload.get("horizon"),
-            **payload.get("system_kwargs", {}),
-        )
-    compute_seconds = perf_counter() - started
-    times = [float(t) for t in estimate.completion_times]
-    return {
-        "index": block.index,
-        "start": block.start,
-        "stop": block.stop,
-        "policy": estimate.policy_name,
-        "completion_times": times,
-        "stats": RunningStatistics.from_values(times).to_dict(),
-        "wall_seconds": compute_seconds,
-    }
+    return _execute_block(
+        block,
+        backend,
+        payload["params"],
+        payload["policy"],
+        tuple(payload["workload"]),
+        payload.get("seed"),
+        horizon=payload.get("horizon"),
+        system_kwargs=payload.get("system_kwargs"),
+    )
 
 
 def execute_work_item(

@@ -31,8 +31,9 @@ Requests that a :class:`~repro.scenarios.spec.ScenarioSpec` can describe
 one — the *identity spec* — which keys the shard store: every such run,
 sharded or not, reads and writes the block cache, so interrupted runs
 resume and grown ensembles compute only the delta.  Anything else runs in
-*ad-hoc* mode: same pipeline, same merge, pickled (not JSON) work items,
-no block cache.
+*ad-hoc* mode: same pipeline, same merge, no block cache, and work items
+that carry live objects — so it runs inline or on a process pool, and a
+JSON-transport executor (the remote worker board) refuses it up front.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.distributed.plan import (
 )
 from repro.distributed.scheduler import ShardScheduler
 from repro.distributed.work import (
-    adhoc_wire_payload,
     int_seed,
     make_adhoc_item,
     make_work_item,
@@ -99,7 +99,7 @@ class EngineRequest:
     """Everything the engine needs for one Monte-Carlo ensemble.
 
     Either ``spec`` describes the run completely (the orchestrator and the
-    distributed runner pass effective :class:`ScenarioSpec` objects), or
+    benchmark harness pass effective :class:`ScenarioSpec` objects), or
     the ad-hoc fields — ``params``/``policy``/``workload``/
     ``num_realisations``/``seed``/``backend`` — do.  The remaining fields
     tune execution without changing the sample:
@@ -276,6 +276,16 @@ def run_engine(request: EngineRequest) -> EngineReport:
         raise ValueError(
             f"num_realisations must be >= 1, got {num_realisations!r}"
         )
+    if identity is None and getattr(request.executor, "transport", "pickle") == "json":
+        # Ad-hoc items carry live objects that only move by reference or
+        # pickle; refuse before planning, so nothing is ever dispatched.
+        raise ValueError(
+            "this run cannot be described by a ScenarioSpec (a custom "
+            "policy or backend instance, a horizon, system kwargs or "
+            "pairwise delay overrides), so it runs inline or on a process "
+            "pool only, never on JSON-transport executors such as the "
+            "remote worker board"
+        )
 
     import numpy as np
 
@@ -405,21 +415,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
             workers=request.workers,
             num_items=len(missing) if adaptive else len(fixed_shards),
         )
-        if identity is None and getattr(resolved, "transport", "pickle") == "json":
-            # An ad-hoc run can still travel if its payload renders to
-            # pure JSON (dict params + registered-policy reference).
-            # Rebinding `payload` here retargets the make_items closure —
-            # every dispatched item ships the wire form.
-            wire_payload = adhoc_wire_payload(payload)
-            if wire_payload is None:
-                raise ValueError(
-                    "this run cannot be made wire-safe (a live backend "
-                    "instance, an unregistered custom policy, non-JSON "
-                    "system kwargs, or a spawned SeedSequence master "
-                    "seed), so it cannot travel to JSON-transport "
-                    "executors such as the remote worker board"
-                )
-            payload = wire_payload
         # Close only executors the engine resolved itself — never instances
         # the caller handed in, never the persistent shared warm pools.
         owns_executor = not isinstance(

@@ -6,22 +6,18 @@
 bit-identical to estimates computed whole — the invariant the unified
 engine (:mod:`repro.montecarlo.engine`) rests on.
 
-:class:`MonteCarloRunner` is the event-driven **execution primitive**: it
-runs realisations one at a time (or hands the whole batch to a non-default
-backend) for a *single seed block*.  The engine calls it — through the
-``reference`` backend — once per block; it is not an engine of its own.
-Use it directly only when you need per-realisation artefacts the
-aggregating paths cannot keep (``keep_results``, traces, progress
-callbacks).
+:class:`MonteCarloRunner` is the ``reference`` backend's per-block loop:
+it runs the event-driven simulator one realisation at a time for a
+*single seed block*.  The engine calls it — through the ``reference``
+backend — once per block; it is not an engine of its own.  Use it
+directly only when you need per-realisation artefacts the aggregating
+paths cannot keep (``keep_results``, traces, progress callbacks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import ExecutionBackend
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,12 +126,6 @@ class MonteCarloRunner:
     keep_results:
         Whether to retain every :class:`SimulationResult` (needed for traces
         and per-node statistics; switch off for very large runs).
-    backend:
-        Execution backend name or instance (see :mod:`repro.backends`).
-        ``None``/``"reference"`` runs the event-driven simulator in-process
-        (the historical behaviour); ``"vectorized"`` hands the whole batch
-        to the NumPy kernel.  Non-reference backends aggregate internally,
-        so they are incompatible with ``keep_results`` and ``progress``.
     system_kwargs:
         Extra keyword arguments forwarded to :class:`DistributedSystem`
         (e.g. ``preemption="restart"`` or ``record_trace=True``).
@@ -148,7 +138,6 @@ class MonteCarloRunner:
         workload: Union[Workload, Sequence[int]],
         seed: SeedLike = None,
         keep_results: bool = False,
-        backend: Union[None, str, "ExecutionBackend"] = None,
         **system_kwargs,
     ) -> None:
         self.params = params
@@ -156,7 +145,6 @@ class MonteCarloRunner:
         self.workload = workload if isinstance(workload, Workload) else Workload(tuple(workload))
         self.root = RandomStreams(seed)
         self.keep_results = keep_results
-        self.backend = backend
         self.system_kwargs = system_kwargs
 
     def run_one(self, streams: RandomStreams, horizon: Optional[float] = None) -> SimulationResult:
@@ -180,37 +168,6 @@ class MonteCarloRunner:
         """Run ``num_realisations`` independent realisations and aggregate them."""
         if num_realisations < 1:
             raise ValueError(f"num_realisations must be >= 1, got {num_realisations!r}")
-
-        if self.backend is not None:
-            from repro.backends.base import BackendUnsupportedError, resolve_backend
-            from repro.backends.reference import ReferenceBackend
-
-            backend = resolve_backend(self.backend)
-            # The built-in event-driven backend is this very loop: fall
-            # through so keep_results/progress/bit-identical seeding keep
-            # working.  Anything else — including a replacement registered
-            # under the name "reference" — dispatches to its run_batch.
-            if not isinstance(backend, ReferenceBackend):
-                if self.keep_results or progress is not None:
-                    raise BackendUnsupportedError(
-                        f"backend {backend.name!r} aggregates realisations "
-                        "internally; keep_results and progress callbacks need "
-                        "the reference backend"
-                    )
-                # Spawn a child seed per call (like the serial path spawns
-                # per-realisation children), so repeated run() calls draw
-                # fresh, independent samples instead of replaying one.
-                (batch_seed,) = self.root.seed_sequence.spawn(1)
-                return backend.run_batch(
-                    self.params,
-                    self.policy,
-                    self.workload,
-                    num_realisations,
-                    seed=batch_seed,
-                    horizon=horizon,
-                    confidence_level=confidence_level,
-                    **self.system_kwargs,
-                )
 
         children = self.root.spawn(num_realisations)
         completion_times = np.empty(num_realisations)

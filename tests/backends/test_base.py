@@ -56,18 +56,16 @@ class TestRegistry:
             register_backend(Nameless())
 
     def test_replacement_reference_backend_is_honoured(self, fast_params, monkeypatch):
-        # register_backend documents "(or replace)": both dispatch points
-        # must route a replacement named "reference" to its run_batch
-        # instead of the built-in event-driven loop.  The engine reduces
-        # each block's estimate, so the replacement returns a real estimate
-        # and records that it was the one invoked.
+        # register_backend documents "(or replace)": the engine must route
+        # a replacement named "reference" to its run_batch instead of the
+        # built-in event-driven loop.  The engine reduces each block's
+        # estimate, so the replacement returns a real estimate and records
+        # that it was the one invoked.
         from repro.backends import base
         from repro.backends.reference import ReferenceBackend
         from repro.core.policies.lbp1 import LBP1
         from repro.montecarlo.engine import EngineRequest, run_engine
-        from repro.montecarlo.runner import MonteCarloRunner
 
-        sentinel = object()
         calls = []
 
         class Replacement(ExecutionBackend):
@@ -89,20 +87,6 @@ class TestRegistry:
             )
         ).estimate
         assert calls and estimate.num_realisations == 3
-
-        # The per-block primitive still honours the sentinel contract: a
-        # non-ReferenceBackend instance dispatches straight to run_batch.
-        class Opaque(ExecutionBackend):
-            name = "reference"
-
-            def run_batch(self, *args, **kwargs):
-                return sentinel
-
-        monkeypatch.setitem(base._REGISTRY, "reference", Opaque())
-        runner = MonteCarloRunner(
-            fast_params, LBP1(0.35), (10, 6), seed=1, backend="reference"
-        )
-        assert runner.run(3) is sentinel
 
     def test_unsupported_error_is_a_value_error(self):
         # Callers catching ValueError (the CLI) see backend-capability

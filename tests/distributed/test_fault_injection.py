@@ -271,13 +271,13 @@ class TestWorkerKillSubprocess:
         )
 
     def test_killed_worker_mid_batch_is_recovered(self, background_service):
-        from repro.distributed.runner import run_sharded_spec
+        from repro.montecarlo.engine import EngineRequest, run_engine
         from repro.scenarios import resolve
         from repro.scenarios.orchestrator import apply_overrides
         from repro.service.client import ServiceClient
 
         spec = apply_overrides(resolve("smoke"), shards=6)
-        local = run_sharded_spec(spec, executor="inline", use_store=False)
+        local = run_engine(EngineRequest(spec=spec, executor="inline"))
 
         procs = []
         with background_service(

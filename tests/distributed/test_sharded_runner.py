@@ -1,4 +1,5 @@
-"""End-to-end tests of the sharded runner: the acceptance gates.
+"""End-to-end tests of sharded spec runs through the engine: the
+acceptance gates.
 
 * shard-count invariance — identical merged ``SummaryStatistics`` for
   1, 2 and 7 shards at a fixed master seed, on both backends;
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.distributed.executors import InlineExecutor, ProcessShardExecutor
-from repro.distributed.runner import int_seed, policy_spec_of, run_sharded_spec
 from repro.distributed.store import ShardStore
+from repro.distributed.work import int_seed, policy_spec_of
+from repro.montecarlo.engine import EngineRequest, run_engine
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
 
 
@@ -35,6 +37,11 @@ def _spec(**overrides):
     return base.with_(**overrides) if overrides else base
 
 
+def _run(spec, **execution):
+    """One engine run of ``spec``; no ``store`` means no shard caching."""
+    return run_engine(EngineRequest(spec=spec, **execution))
+
+
 class TestShardCountInvariance:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_merged_summary_identical_across_1_2_7_shards(self, backend):
@@ -43,7 +50,7 @@ class TestShardCountInvariance:
         summaries = {}
         times = {}
         for shards in (1, 2, 7):
-            report = run_sharded_spec(
+            report = _run(
                 _spec(shards=shards, backend=backend),
                 executor="inline",
                 store=store,
@@ -55,19 +62,17 @@ class TestShardCountInvariance:
         np.testing.assert_array_equal(times[1], times[7])
 
     def test_executor_choice_does_not_change_results(self):
-        inline = run_sharded_spec(
-            _spec(shards=3), executor=InlineExecutor(), use_store=False
-        )
+        inline = _run(_spec(shards=3), executor=InlineExecutor())
         with ProcessShardExecutor(2) as pool:
-            pooled = run_sharded_spec(_spec(shards=3), executor=pool, use_store=False)
+            pooled = _run(_spec(shards=3), executor=pool)
         assert inline.estimate.summary == pooled.estimate.summary
         np.testing.assert_array_equal(
             inline.estimate.completion_times, pooled.estimate.completion_times
         )
 
     def test_different_seeds_differ(self):
-        a = run_sharded_spec(_spec(shards=2), use_store=False)
-        b = run_sharded_spec(_spec(shards=2, seed=8), use_store=False)
+        a = _run(_spec(shards=2))
+        b = _run(_spec(shards=2, seed=8))
         assert a.estimate.summary.mean != b.estimate.summary.mean
 
 
@@ -83,7 +88,7 @@ class TestCrossProcessTelemetry:
         with tracer.activate():
             with ProcessShardExecutor(2) as pool:
                 pool.warm()
-                run_sharded_spec(_spec(shards=4), executor=pool, use_store=False)
+                _run(_spec(shards=4), executor=pool)
 
         by_name = {}
         for span in tracer.spans:
@@ -111,9 +116,7 @@ class TestCrossProcessTelemetry:
             )
 
     def test_attribution_components_sum_to_wall(self):
-        report = run_sharded_spec(
-            _spec(shards=4), executor="process", use_store=False
-        )
+        report = _run(_spec(shards=4), executor="process")
         ledger = report.attribution
         assert set(report.shard_attribution) == {0, 1, 2, 3}
         identity = sum(
@@ -136,11 +139,11 @@ class TestCrossProcessTelemetry:
 class TestShardLevelCaching:
     def test_second_run_is_pure_cache_read(self):
         store = ShardStore()
-        first = run_sharded_spec(_spec(shards=2), store=store)
+        first = _run(_spec(shards=2), store=store)
         assert first.blocks_cached == 0 and first.blocks_total == 5
         assert store.hits == 0 and store.misses == 5
 
-        resumed = run_sharded_spec(_spec(shards=2), store=store)
+        resumed = _run(_spec(shards=2), store=store)
         assert resumed.blocks_cached == 5
         assert resumed.shards_dispatched == 0
         assert store.hits == 5
@@ -148,16 +151,14 @@ class TestShardLevelCaching:
 
     def test_blocks_shared_across_shard_counts(self):
         store = ShardStore()
-        run_sharded_spec(_spec(shards=7), store=store)
-        other = run_sharded_spec(_spec(shards=2), store=store)
+        _run(_spec(shards=7), store=store)
+        other = _run(_spec(shards=2), store=store)
         assert other.blocks_cached == other.blocks_total == 5
 
     def test_growing_the_ensemble_computes_only_the_delta(self):
         store = ShardStore()
-        run_sharded_spec(_spec(shards=2, mc_realisations=20), store=store)
-        grown = run_sharded_spec(
-            _spec(shards=2, mc_realisations=28), store=store
-        )
+        _run(_spec(shards=2, mc_realisations=20), store=store)
+        grown = _run(_spec(shards=2, mc_realisations=28), store=store)
         # 20→28 at block 4: blocks 0–4 are reused, blocks 5–6 are new.
         assert grown.blocks_total == 7
         assert grown.blocks_cached == 5
@@ -165,14 +166,15 @@ class TestShardLevelCaching:
 
     def test_prefix_sample_is_preserved_when_growing(self):
         store = ShardStore()
-        small = run_sharded_spec(_spec(shards=2, mc_realisations=20), store=store)
-        grown = run_sharded_spec(_spec(shards=2, mc_realisations=28), store=store)
+        small = _run(_spec(shards=2, mc_realisations=20), store=store)
+        grown = _run(_spec(shards=2, mc_realisations=28), store=store)
         np.testing.assert_array_equal(
             grown.estimate.completion_times[:20], small.estimate.completion_times
         )
 
     def test_use_store_false_never_touches_disk(self, tmp_path):
-        report = run_sharded_spec(_spec(shards=2), use_store=False)
+        """A run given no ``store`` neither reads nor writes blocks."""
+        report = _run(_spec(shards=2))
         assert report.blocks_cached == 0
         assert len(ShardStore()) == 0
 
@@ -182,7 +184,7 @@ class TestShardLevelCaching:
         from repro.distributed.plan import block_key, plan_blocks, shard_plan_key
 
         store = ShardStore()
-        first = run_sharded_spec(_spec(shards=2), store=store)
+        first = _run(_spec(shards=2), store=store)
 
         # Poison one stored block, then refresh: the bad entry is replaced.
         plan = shard_plan_key(_spec(shards=2))
@@ -192,13 +194,13 @@ class TestShardLevelCaching:
         store.put(block_key(plan, block), poisoned)
 
         reads_before = store.hits + store.misses  # poison read included
-        refreshed = run_sharded_spec(_spec(shards=2), store=store, refresh=True)
+        refreshed = _run(_spec(shards=2), store=store, refresh=True)
         assert refreshed.blocks_cached == 0
         assert store.hits + store.misses == reads_before  # no store reads
         assert refreshed.estimate.summary == first.estimate.summary
 
         # And the store now serves the repaired blocks again.
-        resumed = run_sharded_spec(_spec(shards=2), store=store)
+        resumed = _run(_spec(shards=2), store=store)
         assert resumed.blocks_cached == 5
         assert resumed.estimate.summary == first.estimate.summary
 
@@ -222,12 +224,12 @@ class TestShardLevelCaching:
 
         store = ShardStore()
         with pytest.raises(ShardExecutionError):
-            run_sharded_spec(
+            _run(
                 _spec(shards=5), executor=ExplodeOnSecondShard(), store=store
             )
         assert len(store) == 1  # the finished shard's block survived
 
-        resumed = run_sharded_spec(_spec(shards=5), store=store)
+        resumed = _run(_spec(shards=5), store=store)
         assert resumed.blocks_cached == 1
         assert resumed.blocks_total == 5
 
@@ -249,5 +251,9 @@ class TestHelpers:
         assert int_seed(None) == 0
 
     def test_requires_sharded_spec(self):
+        """The distributed benchmark times sharded runs only; an explicit
+        zero shard count is refused before any pool starts."""
+        from repro.backends.bench import run_distributed_benchmark
+
         with pytest.raises(ValueError, match="shards >= 1"):
-            run_sharded_spec(_spec(shards=0), use_store=False)
+            run_distributed_benchmark(_spec(), shards=0, worker_counts=(1,))

@@ -212,7 +212,7 @@ class TestCorruption:
         the resumed run recomputes the lost blocks bit-identically."""
         import numpy as np
 
-        from repro.distributed.runner import run_sharded_spec
+        from repro.montecarlo.engine import EngineRequest, run_engine
         from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
 
         spec = ScenarioSpec(
@@ -222,7 +222,7 @@ class TestCorruption:
             mc_realisations=20, seed=7, shards=2, shard_block=4,
         )
         store = ShardStore(tmp_path)
-        first = run_sharded_spec(spec, executor="inline", store=store)
+        first = run_engine(EngineRequest(spec=spec, executor="inline", store=store))
         assert store.misses == 5 and store.hits == 0
 
         for segment in store.segment_dir.glob("*.seg"):
@@ -230,7 +230,9 @@ class TestCorruption:
             segment.write_bytes(data[: len(data) // 3])
 
         damaged = ShardStore(tmp_path)
-        resumed = run_sharded_spec(spec, executor="inline", store=damaged)
+        resumed = run_engine(
+            EngineRequest(spec=spec, executor="inline", store=damaged)
+        )
         assert damaged.misses > 0  # the damage was actually exercised
         assert resumed.estimate.summary == first.estimate.summary
         np.testing.assert_array_equal(

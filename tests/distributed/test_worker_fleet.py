@@ -136,13 +136,13 @@ class TestWorkerLoopAgainstService:
             assert all(e["point"] == "smoke" for e in shard_events)
 
     def test_remote_result_matches_local_sharded_run(self, background_service):
-        from repro.distributed.runner import run_sharded_spec
+        from repro.montecarlo.engine import EngineRequest, run_engine
         from repro.scenarios import resolve
         from repro.scenarios.orchestrator import apply_overrides
         from repro.service.client import ServiceClient
 
         spec = apply_overrides(resolve("smoke"), shards=2)
-        local = run_sharded_spec(spec, executor="inline", use_store=False)
+        local = run_engine(EngineRequest(spec=spec, executor="inline"))
 
         with background_service() as service:
             client = ServiceClient(service.url, timeout=30.0)

@@ -183,29 +183,29 @@ class TestEngineBehaviour:
         assert report.estimate.num_realisations == 20
         assert len(store) == 0
 
-    def test_wire_safe_adhoc_travels_json_transports_exactly(self, fast_params):
-        """A horizon-carrying ad-hoc run now crosses JSON transports via
-        adhoc_wire_payload (dict params + registered-policy reference) and
-        must agree exactly with the live-object inline run."""
-        from repro.distributed.executors import InlineExecutor
-
-        class JsonOnly(InlineExecutor):
-            transport = "json"
-
-        serial = run_engine(_request(fast_params, horizon=1e9))
-        wired = run_engine(
-            _request(fast_params, horizon=1e9, executor=JsonOnly())
-        )
-        assert wired.estimate.summary == serial.estimate.summary
-        np.testing.assert_array_equal(
-            wired.estimate.completion_times, serial.estimate.completion_times
-        )
-
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "custom-policy",
+            "horizon",
+            "pairwise-delays",
+            "system-kwargs",
+            "spawned-seed",
+            "backend-instance",
+        ],
+    )
     def test_json_transport_still_rejects_unregistered_policies(
-        self, fast_params
+        self, fast_params, shape
     ):
+        """Every ad-hoc shape is refused on a JSON transport before the
+        executor starts a single item — on a recording stand-in and on the
+        real worker board, where a registered worker then finds nothing to
+        claim.  Pickle carries these runs inline and to process pools."""
+        from repro.backends.reference import ReferenceBackend
+        from repro.core.parameters import TransferDelayModel
         from repro.core.policies.base import LoadBalancingPolicy
         from repro.distributed.executors import InlineExecutor
+        from repro.service.shards import BoardExecutor, ShardBoard
 
         class Quirky(LoadBalancingPolicy):
             name = "quirky"
@@ -216,32 +216,43 @@ class TestEngineBehaviour:
         class JsonOnly(InlineExecutor):
             transport = "json"
 
+            def __init__(self):
+                super().__init__()
+                self.started = []
+
+            def start(self, slot, item):
+                self.started.append(item)
+                super().start(slot, item)
+
+        overrides = {
+            "custom-policy": dict(policy=Quirky()),
+            "horizon": dict(horizon=1e9),
+            "pairwise-delays": dict(
+                params=fast_params.with_pairwise_delays(
+                    [((0, 1), TransferDelayModel(mean_delay_per_task=0.5))]
+                )
+            ),
+            "system-kwargs": dict(system_kwargs={"preemption": "restart"}),
+            # A spawned seed on its own folds into a spec seed (int_seed);
+            # it is an ad-hoc shape whenever the run is ad-hoc anyway.
+            "spawned-seed": dict(
+                horizon=1e9, seed=np.random.SeedSequence(7).spawn(2)[1]
+            ),
+            "backend-instance": dict(backend=ReferenceBackend()),
+        }[shape]
+
+        recording = JsonOnly()
         with pytest.raises(ValueError, match="JSON-transport"):
-            run_engine(_request(fast_params, policy=Quirky(), executor=JsonOnly()))
+            run_engine(_request(fast_params, executor=recording, **overrides))
+        assert recording.started == []
 
-    def test_registered_custom_policy_travels_json_transport(self, fast_params):
-        from repro.core.policies.base import LoadBalancingPolicy
-        from repro.distributed.executors import InlineExecutor
-        from repro.distributed.policy_registry import register_policy, wire_ref
-
-        class Nothing(LoadBalancingPolicy):
-            name = "nothing"
-
-            def initial_transfers(self, loads, params):
-                return []
-
-        register_policy("test-nothing", lambda params, workload: Nothing())
-        policy = Nothing()
-        policy.__wire_ref__ = wire_ref("test-nothing")
-
-        class JsonOnly(InlineExecutor):
-            transport = "json"
-
-        serial = run_engine(_request(fast_params, policy=Nothing()))
-        wired = run_engine(
-            _request(fast_params, policy=policy, executor=JsonOnly())
-        )
-        assert wired.estimate.summary == serial.estimate.summary
+        board = ShardBoard()
+        worker = board.register("w")
+        with pytest.raises(ValueError, match="JSON-transport"):
+            run_engine(
+                _request(fast_params, executor=BoardExecutor(board), **overrides)
+            )
+        assert board.claim_batch(worker, batch=8) == []
 
     def test_fresh_store_instances_resume_and_grow_identically(self, fast_params):
         """Blocks written by one ShardStore instance feed resumed and grown

@@ -123,11 +123,9 @@ class TestBackendSelection:
         assert estimate.policy_name == "LBP-1"
 
     def test_repeated_runs_draw_fresh_samples(self, fast_params):
-        # Like the reference path (which spawns child streams per run),
-        # repeated run() calls on one runner must not replay the same batch.
-        runner = MonteCarloRunner(
-            fast_params, LBP1(0.5), (20, 5), seed=3, backend="vectorized"
-        )
+        # run() spawns fresh child streams per call, so repeated calls on
+        # one runner must not replay the same batch.
+        runner = MonteCarloRunner(fast_params, LBP1(0.5), (20, 5), seed=3)
         first = runner.run(8).completion_times
         second = runner.run(8).completion_times
         assert not np.array_equal(first, second)
@@ -141,28 +139,10 @@ class TestBackendSelection:
         )
         np.testing.assert_array_equal(a.completion_times, b.completion_times)
 
-    def test_vectorized_rejects_keep_results(self, fast_params):
-        from repro.backends.base import BackendUnsupportedError
-
-        runner = MonteCarloRunner(
-            fast_params, LBP1(0.5), (20, 5), seed=3,
-            keep_results=True, backend="vectorized",
-        )
-        with pytest.raises(BackendUnsupportedError, match="keep_results"):
-            runner.run(4)
-
-    def test_vectorized_rejects_progress_callbacks(self, fast_params):
-        runner = MonteCarloRunner(
-            fast_params, LBP1(0.5), (20, 5), seed=3, backend="vectorized"
-        )
-        from repro.backends.base import BackendUnsupportedError
-
-        with pytest.raises(BackendUnsupportedError, match="progress"):
-            runner.run(4, progress=lambda k, result: None)
-
     def test_unknown_backend_is_rejected(self, fast_params):
-        runner = MonteCarloRunner(
-            fast_params, LBP1(0.5), (20, 5), seed=3, backend="fpga"
-        )
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            runner.run(4)
+        # The name resolves where the block runs, so the engine surfaces
+        # the lookup error once the block has exhausted its attempts.
+        from repro.distributed.scheduler import ShardExecutionError
+
+        with pytest.raises(ShardExecutionError, match="unknown execution backend"):
+            _estimate(fast_params, LBP1(0.5), (20, 5), 4, seed=3, backend="fpga")

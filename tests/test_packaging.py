@@ -82,3 +82,25 @@ def test_example_imports_resolve(path):
             importlib.import_module(f"{module_name}.{name}")
         except ModuleNotFoundError:
             pytest.fail(f"{path.name} imports {name!r} from {module_name}, which has none")
+
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.distributed",
+    "repro.montecarlo",
+    "repro.backends",
+    "repro.scenarios",
+    "repro.service",
+    "repro.obs",
+)
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_exports_resolve(package):
+    """Every name a package advertises in ``__all__`` resolves, so a
+    deleted module cannot leave a stale lazy export behind."""
+    module = importlib.import_module(package)
+    assert module.__all__
+    for name in module.__all__:
+        assert getattr(module, name) is not None, f"{package}.{name}"
