@@ -646,12 +646,10 @@ def _bench_distributed(args) -> int:
             return 1
         print(f"baseline gate passed (tolerance {args.tolerance:g}x)")
     if args.require_speedup is not None:
-        from repro.backends.bench import (
-            effective_cpu_count,
-            speedup_gate_problems,
-        )
+        from repro.backends.bench import speedup_gate_problems
+        from repro.obs.history import effective_cpus
 
-        cpus = effective_cpu_count()
+        cpus = effective_cpus()
         problems, skipped = speedup_gate_problems(
             report, args.require_speedup, effective_cpus=cpus
         )

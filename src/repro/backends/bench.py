@@ -21,13 +21,13 @@ scenario result cache: it measures computation, not disk reads.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
+from repro.obs import history
 from repro.scenarios.spec import PolicySpec, ScenarioSpec
 
 #: JSON schema version of ``BENCH_results.json``.
@@ -392,27 +392,16 @@ def write_benchmark_results(
 #: CPU budget — the measurement timeshares cores and its speedup is
 #: physically meaningless); ``summary.speedups`` covers only non-skipped
 #: counts and ``summary.skipped_counts`` lists the rest.
-DISTRIBUTED_BENCH_SCHEMA_VERSION = 4
+#: 5 — ``breakdown`` *is* the overhead ledger: exactly the engine's
+#: ``attribution`` keys (:data:`~repro.obs.history.ATTRIBUTION_KEYS`), no
+#: flat phase timings, no second overhead estimate, no nested copy.
+DISTRIBUTED_BENCH_SCHEMA_VERSION = 5
 
 #: Process-pool sizes timed by default.
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
 
 #: Pool sizes of the committed strong-scaling curve (``BENCH_scaling.json``).
 SCALING_WORKER_COUNTS = (1, 2, 4, 8, 16)
-
-
-def effective_cpu_count() -> int:
-    """CPUs this process may actually run on (affinity-aware).
-
-    Containers and CI runners routinely pin processes to a subset of the
-    host's cores; ``os.cpu_count()`` reports the host and would let a
-    speedup gate demand parallel speedups the scheduler physically cannot
-    deliver.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def speedup_gate_problems(
@@ -432,7 +421,7 @@ def speedup_gate_problems(
     to one core) cannot silently pass.
     """
     if effective_cpus is None:
-        effective_cpus = effective_cpu_count()
+        effective_cpus = history.effective_cpus()
     problems: List[str] = []
     skipped: List[int] = []
     for timing in report.timings:
@@ -466,14 +455,11 @@ class DistributedTiming:
     realisations: int
     mean_completion_time: float
     std_completion_time: float
-    #: The engine's phase breakdown for this run (``plan_seconds``,
-    #: ``execute_seconds``, ``merge_seconds``, ``block_compute_seconds``,
-    #: ``dispatch_overhead_seconds``) — where the wall-clock went.  Since
-    #: schema 3 it also carries a nested ``attribution`` dict: the overhead
-    #: ledger from stitched cross-process spans, whose wall-equivalent
-    #: components (plan + wire + deserialize + compute + dispatch + idle +
-    #: merge) sum to roughly the measured wall time.
-    breakdown: Dict[str, object] = field(default_factory=dict)
+    #: Where the wall clock went: the run's overhead ledger
+    #: (``EngineReport.attribution``), one wall-equivalent entry per
+    #: :data:`~repro.obs.history.ATTRIBUTION_KEYS` component, summing to
+    #: roughly ``wall_seconds``.
+    breakdown: Dict[str, float] = field(default_factory=dict)
     #: True when this worker count exceeded the machine's effective CPU
     #: budget at measurement time: the pool timeshared cores, so the wall
     #: time is an honest measurement but the *speedup* is meaningless.
@@ -598,17 +584,6 @@ class DistributedBenchmarkReport:
                 }
             )
         lines = [format_table(table, float_format="{:.2f}")]
-        for timing in self.timings:
-            b = timing.breakdown
-            if not b:
-                continue
-            lines.append(
-                f"  {timing.worker_count} workers: "
-                f"compute {b.get('block_compute_seconds', 0.0):.2f}s "
-                f"(across slots), dispatch overhead "
-                f"{b.get('dispatch_overhead_seconds', 0.0):.2f}s, "
-                f"merge {b.get('merge_seconds', 0.0):.3f}s"
-            )
         attribution_table = self._render_attribution()
         if attribution_table:
             lines.append(attribution_table)
@@ -620,20 +595,6 @@ class DistributedBenchmarkReport:
                 f"(speedups above this worker count timeshare cores)"
             )
         return "\n".join(lines)
-
-    #: Ledger components shown by the "why is speedup < 1" table, in
-    #: display order.  Together they sum (roughly) to the wall time;
-    #: ``queue_wait_seconds`` is deliberately absent — it overlaps
-    #: slot-busy time and would double-count.
-    _ATTRIBUTION_COLUMNS = (
-        ("plan", "plan_seconds"),
-        ("wire", "wire_seconds"),
-        ("deser", "deserialize_seconds"),
-        ("compute", "compute_seconds"),
-        ("dispatch", "dispatch_seconds"),
-        ("idle", "idle_seconds"),
-        ("merge", "merge_seconds"),
-    )
 
     def _render_attribution(self) -> str:
         """The overhead ledger as a table — why is speedup < linear?
@@ -647,21 +608,22 @@ class DistributedBenchmarkReport:
         from repro.analysis.reporting import format_table
         from repro.analysis.tables import Table
 
+        keys = history.ATTRIBUTION_KEYS
+        columns = [key.removesuffix("_seconds") for key in keys]
         rows = []
         for timing in self.timings:
-            ledger = timing.breakdown.get("attribution")
-            if not isinstance(ledger, dict) or timing.wall_seconds <= 0.0:
+            if not timing.breakdown or timing.wall_seconds <= 0.0:
                 continue
             row = {"workers": timing.worker_count}
-            for label, key in self._ATTRIBUTION_COLUMNS:
-                seconds = float(ledger.get(key, 0.0))
+            for label, key in zip(columns, keys):
+                seconds = float(timing.breakdown.get(key, 0.0))
                 share = 100.0 * seconds / timing.wall_seconds
                 row[label] = f"{seconds:.2f}s {share:3.0f}%"
             rows.append(row)
         if not rows:
             return ""
         table = Table(
-            ["workers"] + [label for label, _ in self._ATTRIBUTION_COLUMNS],
+            ["workers"] + columns,
             title="Where the wall time went (why is speedup < linear?)",
         )
         for row in rows:
@@ -682,13 +644,13 @@ def run_distributed_benchmark(
     Shard caching is disabled (the harness measures computation) and every
     run reuses the same spec, so the merged statistics must agree exactly
     across worker counts — a free determinism gate on top of the timing
-    curve.  Each run's engine phase timings land in the report as a
-    dispatch/compute/merge ``breakdown`` with a nested ``attribution``
-    overhead ledger; pass a :class:`repro.obs.trace.Tracer` to also keep
-    the full span log (the CI bench job uploads it as an artifact).  When
-    no tracer is passed one is created internally anyway — trace
-    propagation is what feeds the ledger, so the ``attribution`` section
-    must not depend on the caller wanting the NDJSON.
+    curve.  Each run's overhead ledger (``EngineReport.attribution``)
+    lands in the report as its ``breakdown``; pass a
+    :class:`repro.obs.trace.Tracer` to also keep the full span log (the
+    CI bench job uploads it as an artifact).  When no tracer is passed one
+    is created internally anyway — trace propagation is what feeds the
+    ledger, so the ``breakdown`` must not depend on the caller wanting the
+    NDJSON.
     """
     from repro.distributed.executors import ProcessShardExecutor
     from repro.montecarlo.engine import EngineRequest, run_engine
@@ -714,7 +676,7 @@ def run_distributed_benchmark(
         realisations=spec.mc_realisations,
         seed=spec.seed,
         quick=quick,
-        effective_cpus=effective_cpu_count(),
+        effective_cpus=history.effective_cpus(),
     )
     active_tracer = tracer if tracer is not None else obs_trace.Tracer()
     with active_tracer.activate():
@@ -725,8 +687,6 @@ def run_distributed_benchmark(
                 with ProcessShardExecutor(count) as executor:
                     executor.warm()  # time computation, not process start-up
                     run = run_engine(EngineRequest(spec=spec, executor=executor))
-            breakdown: Dict[str, object] = dict(run.timings)
-            breakdown["attribution"] = dict(run.attribution)
             report.timings.append(
                 DistributedTiming(
                     worker_count=int(count),
@@ -734,7 +694,7 @@ def run_distributed_benchmark(
                     realisations=spec.mc_realisations,
                     mean_completion_time=float(run.estimate.summary.mean),
                     std_completion_time=float(run.estimate.summary.std),
-                    breakdown=breakdown,
+                    breakdown=run.attribution,
                     # Timeshared measurement: still timed (the merged
                     # statistics must agree regardless), but its speedup
                     # is meaningless and must not enter baselines as one.
@@ -753,8 +713,6 @@ def _record_bench_history(report) -> None:
     ids excluded from their own baselines) without re-querying by time.
     """
     try:
-        from repro.obs import history
-
         if isinstance(report, DistributedBenchmarkReport):
             records = history.record_distributed_report(report.to_dict())
         else:

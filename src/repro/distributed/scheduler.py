@@ -97,9 +97,6 @@ class _ShardState:
     #: Dispatch time on the *tracer's* timeline (``trace_ctx["sent_at"]``);
     #: paired with the ack time to normalise the child's clock.
     sent_at: Optional[float] = None
-    #: Total seconds spent queued across every attempt (the ledger's
-    #: queue-wait component).
-    queue_wait_total: float = 0.0
 
 
 class ShardScheduler:
@@ -136,9 +133,10 @@ class ShardScheduler:
         self.on_result = on_result
         #: Completed shard count per slot (the load-balancing signal).
         self.slot_completed: Dict[str, int] = {}
-        #: Per-shard overhead attribution (queue-wait / wire / deserialize
-        #: / compute seconds), filled as shards complete; the engine folds
-        #: it into ``EngineReport.timings``.
+        #: Per-shard round-trip records (``round_trip_seconds``,
+        #: ``wire_seconds``, ``deserialize_seconds``), filled as shards
+        #: complete; the engine folds them into its overhead ledger,
+        #: ``EngineReport.attribution``.
         self.shard_attribution: Dict[int, Dict[str, float]] = {}
         #: Highest number of simultaneously in-flight shards observed —
         #: the honest divisor when converting summed per-shard seconds to
@@ -265,10 +263,8 @@ class ShardScheduler:
                 )
                 state.started_at = time.monotonic()
                 if state.queued_at is not None:
-                    queue_wait = state.started_at - state.queued_at
-                    state.queue_wait_total += queue_wait
                     _QUEUE_WAIT.labels(executor=self._executor_label).observe(
-                        queue_wait
+                        state.started_at - state.queued_at
                     )
                 in_flight[state.item_id] = state
                 self.peak_in_flight = max(self.peak_in_flight, len(in_flight))
@@ -389,16 +385,12 @@ class ShardScheduler:
             )
         totals = propagate.subtree_totals(subtree)
         self.shard_attribution[state.index] = {
-            "queue_wait_seconds": state.queue_wait_total,
             "round_trip_seconds": run_seconds,
-            "remote_busy_seconds": min(totals["busy"], run_seconds),
-            "deserialize_seconds": totals["deserialize"],
-            "compute_seconds": totals["compute"],
             "wire_seconds": (
                 max(0.0, run_seconds - totals["busy"])
                 if totals["busy"] > 0 else 0.0
             ),
-            "attempts": float(state.attempts),
+            "deserialize_seconds": totals["deserialize"],
         }
 
     def _requeue(

@@ -64,6 +64,7 @@ from repro.distributed.work import (
 from repro.montecarlo.runner import MonteCarloEstimate
 from repro.montecarlo.statistics import RunningStatistics
 from repro.obs import trace
+from repro.obs.history import ATTRIBUTION_KEYS
 from repro.obs.metrics import REGISTRY
 from repro.scenarios.spec import DEFAULT_SHARD_BLOCK, ScenarioSpec, SystemSpec
 
@@ -85,7 +86,7 @@ _ENGINE_BLOCKS = REGISTRY.counter(
 )
 _ENGINE_PHASE_SECONDS = REGISTRY.histogram(
     "repro_engine_phase_seconds",
-    "Wall-clock seconds spent in each engine phase.",
+    "Wall-equivalent seconds per overhead-ledger component of each run.",
     labelnames=("phase",),
 )
 _BLOCK_COMPUTE_SECONDS = REGISTRY.histogram(
@@ -164,28 +165,18 @@ class EngineReport:
     shards_dispatched: int
     wall_seconds: float
     slot_completed: Dict[str, int] = field(default_factory=dict)
-    #: Phase timing breakdown: ``plan_seconds`` (block planning + cache
-    #: serving), ``execute_seconds`` (scheduler wall-clock),
-    #: ``merge_seconds``, ``block_compute_seconds`` (sum of per-block
-    #: backend compute over freshly computed blocks, measured where each
-    #: block ran) and ``dispatch_overhead_seconds`` — execute wall-clock
-    #: minus compute divided over the slots that worked, i.e. an estimate
-    #: of what scheduling/transport cost on top of the compute itself.
-    #: The attribution ledger's keys (see :attr:`attribution`) are folded
-    #: in too.
+    #: The raw measurements the ledger is derived from:
+    #: ``execute_seconds`` (scheduler wall-clock), ``block_compute_seconds``
+    #: (sum of per-block backend compute over freshly computed blocks,
+    #: measured where each block ran, so it can exceed the wall clock on
+    #: a busy pool) and ``merge_seconds``.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: The overhead ledger: wall-equivalent seconds per category, built
-    #: from the scheduler's per-shard attribution records.  Summed
-    #: per-shard seconds are divided by the peak number of concurrently
-    #: in-flight shards, so ``plan + wire + deserialize + compute +
-    #: dispatch + idle + merge`` ≈ the run's wall clock.
-    #: ``queue_wait_seconds`` is reported for visibility but *excluded*
-    #: from that identity — a queued shard waits while the slots are busy
-    #: with other shards, so its wait overlaps time already attributed.
+    #: The run's one derived timing record: wall-equivalent seconds for
+    #: each of :data:`~repro.obs.history.ATTRIBUTION_KEYS`, in that order.
+    #: Summed per-shard seconds are divided by the peak number of
+    #: concurrently in-flight shards, so ``plan + wire + deserialize +
+    #: compute + dispatch + idle + merge`` ≈ the run's wall clock.
     attribution: Dict[str, float] = field(default_factory=dict)
-    #: Raw per-shard attribution records (shard index → seconds by
-    #: category), as filed by the scheduler.
-    shard_attribution: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: Adaptive-sizing provenance (empty for pinned shard counts): the
     #: calibrated per-block compute cost and per-dispatch round-trip
     #: overhead, how many probe/main shards were dispatched and the
@@ -320,7 +311,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
                 }
             )
     plan_seconds = perf_counter() - plan_started
-    _ENGINE_PHASE_SECONDS.labels(phase="plan").observe(plan_seconds)
 
     # -- execute: dispatch the missing blocks through the scheduler --------
     num_shards = request.shards
@@ -454,14 +444,12 @@ def run_engine(request: EngineRequest) -> EngineReport:
             if owns_executor:
                 resolved.close()
         slot_completed = dict(scheduler.slot_completed)
-        shard_attribution = dict(scheduler.shard_attribution)
+        shard_records = scheduler.shard_attribution
         peak_in_flight = scheduler.peak_in_flight
     else:
-        shard_attribution = {}
+        shard_records = {}
         peak_in_flight = 0
     execute_seconds = perf_counter() - execute_started
-    if missing:
-        _ENGINE_PHASE_SECONDS.labels(phase="execute").observe(execute_seconds)
 
     # -- merge: exact accumulators, block-ordered concatenation ------------
     merge_started = perf_counter()
@@ -477,7 +465,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
             RunningStatistics.from_dict(payload["stats"]) for payload in ordered
         )
     merge_seconds = perf_counter() - merge_started
-    _ENGINE_PHASE_SECONDS.labels(phase="merge").observe(merge_seconds)
 
     estimate = MonteCarloEstimate(
         policy_name=str(ordered[0]["policy"]),
@@ -486,29 +473,18 @@ def run_engine(request: EngineRequest) -> EngineReport:
         stats=stats,
         confidence_level=request.confidence_level,
     )
-    # Dispatch overhead: what the execute phase cost beyond the compute
-    # itself, assuming the compute was spread evenly over the slots that
-    # completed work.  An estimate, not an accounting identity.
-    active_slots = max(1, len(slot_completed))
-    dispatch_overhead = max(
-        0.0, execute_seconds - compute_seconds[0] / active_slots
-    )
     attribution = _attribution_ledger(
         plan_seconds=plan_seconds,
         execute_seconds=execute_seconds,
         merge_seconds=merge_seconds,
         compute_sum=compute_seconds[0],
-        shard_attribution=shard_attribution,
+        shard_records=shard_records,
         peak_in_flight=peak_in_flight,
     )
-    timings = {
-        "plan_seconds": plan_seconds,
-        "execute_seconds": execute_seconds,
-        "merge_seconds": merge_seconds,
-        "block_compute_seconds": compute_seconds[0],
-        "dispatch_overhead_seconds": dispatch_overhead if missing else 0.0,
-    }
-    timings.update(attribution)
+    for key, seconds in attribution.items():
+        _ENGINE_PHASE_SECONDS.labels(phase=key.removesuffix("_seconds")).observe(
+            seconds
+        )
     report = EngineReport(
         estimate=estimate,
         stats=stats,
@@ -517,9 +493,12 @@ def run_engine(request: EngineRequest) -> EngineReport:
         shards_dispatched=shards_dispatched,
         wall_seconds=perf_counter() - started,
         slot_completed=slot_completed,
-        timings=timings,
+        timings={
+            "execute_seconds": execute_seconds,
+            "block_compute_seconds": compute_seconds[0],
+            "merge_seconds": merge_seconds,
+        },
         attribution=attribution,
-        shard_attribution=shard_attribution,
         sizing=sizing,
     )
     _record_run_history(
@@ -669,10 +648,10 @@ def _attribution_ledger(
     execute_seconds: float,
     merge_seconds: float,
     compute_sum: float,
-    shard_attribution: Dict[int, Dict[str, float]],
+    shard_records: Dict[int, Dict[str, float]],
     peak_in_flight: int,
 ) -> Dict[str, float]:
-    """Fold per-shard attribution records into a wall-equivalent ledger.
+    """Fold the scheduler's per-shard records into the overhead ledger.
 
     Per-shard seconds are *summed over shards* and the summed round-trip
     components are divided by the peak number of concurrently in-flight
@@ -684,27 +663,29 @@ def _attribution_ledger(
         plan + wire + deserialize + compute + dispatch + idle + merge
             ≈ wall seconds
 
-    holds by construction; ``queue_wait_seconds`` overlaps slot-busy time
-    and stays outside the sum (see :class:`EngineReport`).
+    holds by construction.  Keys follow :data:`ATTRIBUTION_KEYS` order.
     """
     slots = max(1, peak_in_flight)
-    records = list(shard_attribution.values())
-    round_trip = sum(r.get("round_trip_seconds", 0.0) for r in records)
-    queue_wait = sum(r.get("queue_wait_seconds", 0.0) for r in records)
-    wire = sum(r.get("wire_seconds", 0.0) for r in records)
-    deserialize = sum(r.get("deserialize_seconds", 0.0) for r in records)
+    records = list(shard_records.values())
+    round_trip = sum(r["round_trip_seconds"] for r in records)
+    wire = sum(r["wire_seconds"] for r in records)
+    deserialize = sum(r["deserialize_seconds"] for r in records)
     # Backend compute is taken from the blocks' own wall_seconds (present
     # with or without tracing); everything else a round trip spent —
     # framework code, pickling, stats reduction — lands in dispatch.
     dispatch = max(0.0, round_trip - wire - deserialize - compute_sum)
     idle = max(0.0, execute_seconds - round_trip / slots)
-    return {
-        "plan_seconds": plan_seconds,
-        "wire_seconds": wire / slots,
-        "deserialize_seconds": deserialize / slots,
-        "compute_seconds": compute_sum / slots if records else 0.0,
-        "dispatch_seconds": dispatch / slots,
-        "idle_seconds": idle if records else max(0.0, execute_seconds),
-        "merge_seconds": merge_seconds,
-        "queue_wait_seconds": queue_wait / slots,
-    }
+    return dict(
+        zip(
+            ATTRIBUTION_KEYS,
+            (
+                plan_seconds,
+                wire / slots,
+                deserialize / slots,
+                compute_sum / slots if records else 0.0,
+                dispatch / slots,
+                idle if records else max(0.0, execute_seconds),
+                merge_seconds,
+            ),
+        )
+    )

@@ -21,8 +21,9 @@ schema-versioned JSON records under ``<cache>/history/``:
 
 Two record kinds share the ledger.  ``kind="run"`` records distill an
 :class:`~repro.montecarlo.engine.EngineReport` (spec hash, backend,
-executor, shard/cache counts, timings, attribution, sizing provenance,
-worker count, effective CPUs, package/git version); ``kind="bench"``
+executor, shard/cache counts, raw timings, the :data:`ATTRIBUTION_KEYS`
+ledger, sizing provenance, worker count, effective CPUs, package/git
+version); ``kind="bench"``
 records carry one benchmark timing each.  The regression sentinel
 (:mod:`repro.obs.sentinel`) reads comparable records back to classify
 fresh runs as ok/warn/regressed.
@@ -70,6 +71,21 @@ _DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 #: Roll the active segment beyond this size (1 MiB ≈ a few thousand runs).
 DEFAULT_MAX_SEGMENT_BYTES = 1 << 20
+
+#: The overhead ledger's wall-equivalent components, in display order.
+#: ``EngineReport.attribution``, run records' ``attribution``, the
+#: ``repro_engine_phase_seconds`` phases and the BENCH ``breakdown`` all
+#: carry exactly these keys, and together they sum to roughly the run's
+#: wall clock.
+ATTRIBUTION_KEYS = (
+    "plan_seconds",
+    "wire_seconds",
+    "deserialize_seconds",
+    "compute_seconds",
+    "dispatch_seconds",
+    "idle_seconds",
+    "merge_seconds",
+)
 
 _RECORDS = REGISTRY.counter(
     "repro_history_records_total",

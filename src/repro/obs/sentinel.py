@@ -16,7 +16,8 @@ count for ``kind="bench"`` ones — and classifies each check as
 
 The checks: **throughput** (higher is better; run records use *computed*
 realisations per wall second and skip pure cache-hit runs), **dispatch
-overhead** (lower is better, with a 50 ms absolute floor so microsecond
+overhead** (lower is better: the record's ``attribution`` ledger summed
+over :data:`OVERHEAD_KEYS`, with a 50 ms absolute floor so microsecond
 jitter never pages anyone) and **cache hit ratio** (higher is better,
 0.1-ratio-point floor).  Median ± MAD is the robust choice: one outlier
 baseline run widens the band instead of poisoning a mean.
@@ -55,6 +56,12 @@ RUN_MATCH_FIELDS = ("spec_hash", "backend", "executor", "effective_cpus")
 #: them (a timeshared baseline is a loose floor, not garbage).
 BENCH_MATCH_FIELDS = (
     "scenario", "backend", "realisations", "seed", "shards", "worker_count",
+)
+
+#: The ledger components the dispatch-overhead check sums: everything a
+#: run spent beyond planning, compute and merging.
+OVERHEAD_KEYS = (
+    "wire_seconds", "deserialize_seconds", "dispatch_seconds", "idle_seconds",
 )
 
 #: Check name -> (direction, absolute floor on the drift threshold).
@@ -173,11 +180,10 @@ def check_value(record: Dict[str, Any], check: str) -> Optional[float]:
             return None
         return realisations * (computed / blocks_total) / wall
     if check == "dispatch_overhead":
-        if computed <= 0:
+        attribution = record.get("attribution")
+        if computed <= 0 or not attribution:
             return None
-        timings = record.get("timings") or {}
-        value = timings.get("dispatch_overhead_seconds")
-        return None if value is None else float(value)
+        return sum(float(attribution.get(key, 0.0)) for key in OVERHEAD_KEYS)
     if check == "cache_hit_ratio":
         if blocks_total <= 0:
             return None

@@ -182,8 +182,6 @@ class Orchestrator:
         self._shard_store = shard_store
         self._external_executor = executor
         self._owned_executor: Optional[ProcessPoolExecutor] = None
-        self._owned_shard_executor = None
-        self._owned_shard_executor_key: Any = None
         #: True while a ``force=True`` run executes: sharded runners must
         #: then recompute (and re-persist) every seed block instead of
         #: serving them from the shard store.
@@ -223,37 +221,22 @@ class Orchestrator:
     def resolved_shard_executor(self):
         """The live shard executor for sharded specs.
 
-        Executor *names* (and ``None``) resolve to an owned instance that
-        is shared across every point of a sweep and shut down by
-        :meth:`close`; a :class:`~repro.distributed.executors.ShardExecutor`
-        instance (e.g. the service's worker-board executor) is used as-is
-        and never closed here.
+        Executor *names* (and ``None``) resolve to a fresh
+        :class:`~repro.distributed.executors.InlineExecutor` or to the
+        process-wide warm pool, which outlives this orchestrator; a
+        :class:`~repro.distributed.executors.ShardExecutor` instance (e.g.
+        the service's worker-board executor) is used as-is.  None of them
+        is closed here.
         """
-        from repro.distributed.executors import ShardExecutor, resolve_executor
+        from repro.distributed.executors import resolve_executor
 
-        if isinstance(self.shard_executor, ShardExecutor):
-            return self.shard_executor
-        key = (self.shard_executor, self.workers)
-        if self._owned_shard_executor is None or self._owned_shard_executor_key != key:
-            self._close_owned_shard_executor()
-            self._owned_shard_executor = resolve_executor(
-                self.shard_executor, workers=self.workers
-            )
-            self._owned_shard_executor_key = key
-        return self._owned_shard_executor
-
-    def _close_owned_shard_executor(self) -> None:
-        if self._owned_shard_executor is not None:
-            self._owned_shard_executor.close()
-            self._owned_shard_executor = None
-            self._owned_shard_executor_key = None
+        return resolve_executor(self.shard_executor, workers=self.workers)
 
     def close(self) -> None:
         """Shut down the owned pool (external executors are left alone)."""
         if self._owned_executor is not None:
             self._owned_executor.shutdown()
             self._owned_executor = None
-        self._close_owned_shard_executor()
 
     def __enter__(self) -> "Orchestrator":
         return self

@@ -11,6 +11,7 @@ from repro.backends.bench import (
     compare_distributed_reports,
     run_distributed_benchmark,
 )
+from repro.obs.history import ATTRIBUTION_KEYS
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -34,7 +35,7 @@ class TestRunDistributedBenchmark:
         # flagged skipped and excluded from the speedup summary.
         import repro.backends.bench as bench
 
-        monkeypatch.setattr(bench, "effective_cpu_count", lambda: 1)
+        monkeypatch.setattr(bench.history, "effective_cpus", lambda: 1)
         report = run_distributed_benchmark(
             scenario="smoke", worker_counts=(1, 2), shards=2
         )
@@ -51,17 +52,11 @@ class TestRunDistributedBenchmark:
             scenario="smoke", worker_counts=(1,), shards=2
         )
         (timing,) = report.timings
-        assert set(timing.breakdown) >= {
-            "plan_seconds",
-            "execute_seconds",
-            "merge_seconds",
-            "block_compute_seconds",
-            "dispatch_overhead_seconds",
-        }
-        assert timing.breakdown["block_compute_seconds"] > 0
-        assert timing.breakdown["dispatch_overhead_seconds"] >= 0
-        assert "dispatch overhead" in report.render()
+        # The breakdown is the engine's overhead ledger, nothing else.
+        assert tuple(timing.breakdown) == ATTRIBUTION_KEYS
+        assert "dispatch overhead" not in report.render()
         payload = report.to_dict()
+        assert payload["schema_version"] == 5
         assert payload["timings"][0]["breakdown"] == timing.breakdown
 
     def test_breakdown_carries_attribution_ledger(self):
@@ -69,33 +64,12 @@ class TestRunDistributedBenchmark:
             scenario="smoke", worker_counts=(1,), shards=2
         )
         (timing,) = report.timings
-        ledger = timing.breakdown["attribution"]
-        assert set(ledger) >= {
-            "plan_seconds",
-            "wire_seconds",
-            "deserialize_seconds",
-            "compute_seconds",
-            "dispatch_seconds",
-            "idle_seconds",
-            "merge_seconds",
-        }
+        ledger = timing.breakdown
         # No tracer was passed, yet the ledger populated — the benchmark
         # creates one internally so trace propagation always runs.
         assert ledger["compute_seconds"] > 0
-        # The wall-equivalent components sum to roughly the wall time
-        # (queue_wait is excluded from the identity: it overlaps busy time).
-        identity = sum(
-            ledger[key]
-            for key in (
-                "plan_seconds",
-                "wire_seconds",
-                "deserialize_seconds",
-                "compute_seconds",
-                "dispatch_seconds",
-                "idle_seconds",
-                "merge_seconds",
-            )
-        )
+        # The wall-equivalent components sum to roughly the wall time.
+        identity = sum(ledger[key] for key in ATTRIBUTION_KEYS)
         assert identity == pytest.approx(timing.wall_seconds, rel=0.05)
         assert "why is speedup" in report.render()
 
@@ -185,3 +159,11 @@ class TestBaselineGate:
         assert baseline["summary"]["merge_invariant"] is True
         # The gate compares against itself cleanly (no config drift).
         assert compare_distributed_reports(baseline, baseline) == []
+        for name in ("BENCH_distributed.json", "BENCH_scaling.json"):
+            committed = json.loads((REPO / name).read_text())
+            for timing in committed["timings"]:
+                breakdown = timing["breakdown"]  # keys sorted on disk
+                assert set(breakdown) == set(ATTRIBUTION_KEYS)
+                assert sum(breakdown.values()) == pytest.approx(
+                    timing["wall_seconds"], rel=0.05
+                )

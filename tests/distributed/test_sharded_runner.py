@@ -7,14 +7,20 @@ acceptance gates.
   counts asserted), and growing the ensemble computes only the delta.
 """
 
+import contextlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.distributed.executors import InlineExecutor, ProcessShardExecutor
 from repro.distributed.store import ShardStore
-from repro.distributed.work import int_seed, policy_spec_of
+from repro.distributed.work import execute_work_item, int_seed, policy_spec_of
 from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.obs.history import ATTRIBUTION_KEYS
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
+from repro.service.shards import BoardExecutor, ShardBoard
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +46,37 @@ def _spec(**overrides):
 def _run(spec, **execution):
     """One engine run of ``spec``; no ``store`` means no shard caching."""
     return run_engine(EngineRequest(spec=spec, **execution))
+
+
+@contextlib.contextmanager
+def _board_with_worker():
+    """A worker-board executor served by one in-thread worker.
+
+    The worker claims, executes and posts items the way ``repro worker``
+    does, minus HTTP and frames.
+    """
+    board = ShardBoard()
+    stop = threading.Event()
+
+    def work():
+        worker_id = board.register("ledger")
+        while not stop.is_set():
+            items = board.claim_batch(worker_id, batch=4)
+            for item in items:
+                board.post_result(
+                    worker_id, item["id"], result=execute_work_item(item)
+                )
+            if not items:
+                time.sleep(0.005)
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    try:
+        yield BoardExecutor(board)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestShardCountInvariance:
@@ -77,7 +114,7 @@ class TestShardCountInvariance:
 
 
 class TestCrossProcessTelemetry:
-    """Trace propagation and the overhead ledger through a real pool."""
+    """Trace propagation through a real pool; the ledger on every executor."""
 
     def test_pool_run_stitches_subprocess_spans(self):
         import os
@@ -115,25 +152,23 @@ class TestCrossProcessTelemetry:
                 parent.start + parent.duration + 1e-9
             )
 
-    def test_attribution_components_sum_to_wall(self):
-        report = _run(_spec(shards=4), executor="process")
-        ledger = report.attribution
-        assert set(report.shard_attribution) == {0, 1, 2, 3}
-        identity = sum(
-            ledger[key]
-            for key in (
-                "plan_seconds",
-                "wire_seconds",
-                "deserialize_seconds",
-                "compute_seconds",
-                "dispatch_seconds",
-                "idle_seconds",
-                "merge_seconds",
-            )
-        )
+    @pytest.mark.parametrize("executor", ["inline", "process", "board"])
+    def test_attribution_components_sum_to_wall(self, executor):
+        """Every executor kind yields the same report shape and identity."""
+        if executor == "board":
+            with _board_with_worker() as board_executor:
+                report = _run(_spec(shards=4), executor=board_executor)
+        else:
+            report = _run(_spec(shards=4), executor=executor)
+        assert report.shards_dispatched == 4
+        assert tuple(report.attribution) == ATTRIBUTION_KEYS
+        assert set(report.timings) == {
+            "execute_seconds",
+            "block_compute_seconds",
+            "merge_seconds",
+        }
+        identity = sum(report.attribution.values())
         assert identity == pytest.approx(report.wall_seconds, rel=0.05)
-        # The ledger is folded into the flat timings dict as well.
-        assert report.timings["wire_seconds"] == ledger["wire_seconds"]
 
 
 class TestShardLevelCaching:

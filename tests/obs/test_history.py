@@ -238,7 +238,10 @@ class TestRecordBuilders:
         assert record["kind"] == "run"
         assert record["scenario"] == "smoke"
         assert record["spec_hash"]
-        assert record["timings"]["plan_seconds"] >= 0
+        assert record["attribution"]["plan_seconds"] >= 0
+        assert set(record["timings"]) == {
+            "execute_seconds", "block_compute_seconds", "merge_seconds",
+        }
         assert record["effective_cpus"] >= 1
 
     def test_disabled_history_records_nothing(self, tmp_path, monkeypatch):

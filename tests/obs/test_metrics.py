@@ -206,6 +206,43 @@ def test_process_default_registry_is_shared():
     assert get_registry() is get_registry()
 
 
+def test_engine_phase_series_carry_the_attribution_ledger(fast_params):
+    """One engine run adds one phase sample per ledger component."""
+    from repro.core.policies import LBP1
+    from repro.montecarlo.engine import EngineRequest, run_engine
+    from repro.obs.history import ATTRIBUTION_KEYS
+
+    def phases():
+        family = get_registry().snapshot()["repro_engine_phase_seconds"]
+        return {
+            entry["labels"]["phase"]: (entry["count"], entry["sum"])
+            for entry in family["series"]
+        }
+
+    before = phases()
+    report = run_engine(
+        EngineRequest(
+            params=fast_params,
+            policy=LBP1(0.5),
+            workload=(20, 5),
+            num_realisations=8,
+            seed=3,
+            executor="inline",
+        )
+    )
+    observed = {}
+    for phase, (count, total) in phases().items():
+        prior_count, prior_total = before.get(phase, (0, 0.0))
+        if count > prior_count:
+            observed[phase] = (count - prior_count, total - prior_total)
+    assert set(observed) == {key.removesuffix("_seconds") for key in ATTRIBUTION_KEYS}
+    assert "execute" not in observed
+    for key in ATTRIBUTION_KEYS:
+        count, total = observed[key.removesuffix("_seconds")]
+        assert count == 1
+        assert total == pytest.approx(report.attribution[key], abs=1e-9)
+
+
 class TestHistogramQuantile:
     def test_interpolates_within_a_bucket(self):
         # 10 observations spread evenly over [0, 1): the median sits at

@@ -51,7 +51,12 @@ def _engine_run(ledger, *, wall=2.0, cached=0, total=8, **fields):
         "blocks_total": total,
         "blocks_cached": cached,
         "wall_seconds": wall,
-        "timings": {"dispatch_overhead_seconds": 0.01},
+        "attribution": {
+            "wire_seconds": 0.004,
+            "deserialize_seconds": 0.001,
+            "dispatch_seconds": 0.002,
+            "idle_seconds": 0.003,
+        },
     }
     record.update(fields)
     return ledger.append(record)
@@ -140,6 +145,39 @@ class TestCheckValue:
         assert check_value(record, "throughput") is None
         assert check_value(record, "dispatch_overhead") is None
         assert check_value(record, "cache_hit_ratio") == 1.0
+
+    def test_dispatch_overhead_sums_the_ledger_overhead_components(self):
+        record = {
+            "kind": "run",
+            "blocks_total": 4,
+            "blocks_cached": 0,
+            "attribution": {
+                "plan_seconds": 1.0,
+                "wire_seconds": 0.25,
+                "deserialize_seconds": 0.125,
+                "compute_seconds": 8.0,
+                "dispatch_seconds": 0.5,
+                "idle_seconds": 0.0625,
+                "merge_seconds": 2.0,
+            },
+        }
+        assert check_value(record, "dispatch_overhead") == 0.9375
+
+    def test_older_records_are_judged_from_their_attribution(self):
+        # Records written before the ledger became the one timing record
+        # also carried a second overhead estimate in ``timings``, named
+        # after the check; only the ledger counts.
+        check = "dispatch_overhead"
+        record = {
+            "kind": "run",
+            "blocks_total": 4,
+            "blocks_cached": 0,
+            "timings": {f"{check}_seconds": 7.0},
+            "attribution": {"wire_seconds": 0.5, "idle_seconds": 0.25},
+        }
+        assert check_value(record, check) == 0.75
+        del record["attribution"]
+        assert check_value(record, check) is None
 
     def test_unknown_check_raises(self):
         with pytest.raises(ValueError, match="unknown sentinel check"):

@@ -189,6 +189,24 @@ class TestSharedExecutor:
             # Still usable after close(): the orchestrator does not own it.
             assert pool.submit(lambda: 1).result() == 1
 
+    def test_sharded_runs_leave_the_shared_warm_pool_running(self):
+        # A sharded run on ``process`` resolves the process-wide warm pool.
+        # Neither closing the orchestrator nor switching its shard
+        # executor between jobs (as the job service does) may shut it down.
+        from repro.distributed import executors
+
+        with Orchestrator(cache=None, use_cache=False, workers=2) as orchestrator:
+            orchestrator.shard_executor = "process"
+            orchestrator.run(tiny_spec(shards=2))
+            shared = executors._SHARED_POOLS[2]
+            warm = shared._pool
+            assert warm is not None
+            orchestrator.shard_executor = None
+            orchestrator.run(tiny_spec(shards=2, seed=6))
+            assert shared._pool is warm
+        assert executors._SHARED_POOLS[2] is shared
+        assert shared._pool is warm
+
 
 class TestBackendOverride:
     def test_backend_override_caches_separately(self, orchestrator):

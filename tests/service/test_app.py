@@ -368,7 +368,7 @@ class TestRunHistoryEndpoints:
                 "blocks_total": 4,
                 "blocks_cached": 0,
                 "wall_seconds": 0.5 + i,
-                "timings": {"dispatch_overhead_seconds": 0.01},
+                "attribution": {"dispatch_seconds": 0.01},
             }
             record.update(overrides)
             records.append(ledger.append(record))
