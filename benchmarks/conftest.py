@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's tables or figures (or an
 ablation of a design choice).  The functions under test are full experiment
 drivers, so each benchmark executes a single round — the interesting output
-is the regenerated table/series (printed to stdout, compare against
-EXPERIMENTS.md) together with the wall-clock time pytest-benchmark records.
+is the regenerated table/series (printed to stdout, compare against the
+paper's numbers in the ``PAPER_*`` constants of ``repro.experiments.common``)
+together with the wall-clock time pytest-benchmark records.
 
 Run with::
 

@@ -76,7 +76,6 @@ _EXPORTS = {
         "MonteCarloEstimate",
         "compare_policies",
         "delay_sweep",
-        "gain_sweep",
         "run_engine",
     ),
     "repro.sim": ("Environment", "RandomStreams"),

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro                      # quick summary (headline numbers)
-    python -m repro fig3                 # regenerate one artefact
+    python -m repro fig3                 # regenerate one artefact (cached)
     python -m repro all                  # regenerate every figure and table
     python -m repro fig3 --quick         # reduced realisation counts
     python -m repro fig3 --seed 7        # reproducible alternate seed
@@ -44,9 +44,11 @@ The heavy lifting lives in :mod:`repro.experiments`, :mod:`repro.scenarios`,
 rendered tables/series.  Every Monte-Carlo ensemble — serial, pooled,
 vectorized or sharded — runs through the one block-planned engine, so
 ``--workers``/``--shards``/``--executor`` change *where* work runs, never
-the result.  Scenario runs are content-addressed: an unchanged scenario is
-served from the on-disk cache (``REPRO_CACHE_DIR`` or ``~/.cache/repro``),
-and completed seed blocks persist in the shard store for resume and
+the result.  ``python -m repro <artefact>`` and ``scenario run`` share one
+route, the scenario orchestrator: runs are content-addressed, an unchanged
+scenario is served from the on-disk cache (``REPRO_CACHE_DIR`` or
+``~/.cache/repro``; ``scenario run <name> --force`` recomputes), and
+completed seed blocks persist in the shard store for resume and
 delta-growth.
 """
 
@@ -55,97 +57,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional
-
-def _driver(name: str):
-    """Resolve an experiment driver at call time (keeps CLI start-up fast)."""
-    import repro.experiments as experiments
-
-    return getattr(experiments, name)
-
-
-def _seeded(seed: Optional[int]) -> dict:
-    """Keyword override for drivers when an explicit seed is requested."""
-    return {} if seed is None else {"seed": seed}
-
-
-def _scenario_artefact(name: str, quick: bool, seed: Optional[int], workers: Optional[int]):
-    """Run a paper artefact through the scenario registry + cache."""
-    from repro.scenarios import Orchestrator
-
-    with Orchestrator(workers=workers) as orchestrator:
-        return orchestrator.run(name, quick=quick, seed=seed)
-
-
-#: artefact name -> (full-size invocation, quick invocation); every entry
-#: accepts ``seed``/``workers`` keywords from the command line.  fig3 and
-#: table3 are thin consumers of the scenario registry (content-addressed
-#: caching included); the remaining artefacts still call their drivers
-#: directly.
-_ARTEFACTS: Dict[str, Dict[str, Callable[..., object]]] = {
-    "fig1": {
-        "full": lambda seed=None, workers=None: _driver("run_fig1")(**_seeded(seed)),
-        "quick": lambda seed=None, workers=None: _driver("run_fig1")(
-            tasks_per_node=500, **_seeded(seed)
-        ),
-    },
-    "fig2": {
-        "full": lambda seed=None, workers=None: _driver("run_fig2")(**_seeded(seed)),
-        "quick": lambda seed=None, workers=None: _driver("run_fig2")(
-            probes_per_size=15, **_seeded(seed)
-        ),
-    },
-    "fig3": {
-        "full": lambda seed=None, workers=None: _scenario_artefact(
-            "fig3", False, seed, workers
-        ),
-        "quick": lambda seed=None, workers=None: _scenario_artefact(
-            "fig3", True, seed, workers
-        ),
-    },
-    "fig4": {
-        "full": lambda seed=None, workers=None: _driver("run_fig4")(**_seeded(seed)),
-        # A genuinely reduced configuration: half-size workload, so the
-        # traced realisation completes in a fraction of the full run.
-        "quick": lambda seed=None, workers=None: _driver("run_fig4")(
-            workload=(50, 30), **_seeded(seed)
-        ),
-    },
-    "fig5": {
-        "full": lambda seed=None, workers=None: _driver("run_fig5")(
-            with_monte_carlo=True, **_seeded(seed)
-        ),
-        "quick": lambda seed=None, workers=None: _driver("run_fig5")(**_seeded(seed)),
-    },
-    "table1": {
-        "full": lambda seed=None, workers=None: _driver("run_table1")(**_seeded(seed)),
-        "quick": lambda seed=None, workers=None: _driver("run_table1")(
-            experiment_realisations=5, **_seeded(seed)
-        ),
-    },
-    "table2": {
-        "full": lambda seed=None, workers=None: _driver("run_table2")(
-            mc_realisations=500, experiment_realisations=60, **_seeded(seed)
-        ),
-        "quick": lambda seed=None, workers=None: _driver("run_table2")(
-            mc_realisations=80, experiment_realisations=10, **_seeded(seed)
-        ),
-    },
-    "table3": {
-        "full": lambda seed=None, workers=None: _scenario_artefact(
-            "table3", False, seed, workers
-        ),
-        "quick": lambda seed=None, workers=None: _scenario_artefact(
-            "table3", True, seed, workers
-        ),
-    },
-}
 
 
 def _summary() -> str:
     """Headline reproduction numbers, computed analytically (fast)."""
     from repro.core.optimize import optimal_gain_lbp1, optimal_gain_no_failure
     from repro.core.parameters import paper_parameters
+    from repro.scenarios.registry import PAPER_ARTEFACTS
 
     params = paper_parameters()
     failure = optimal_gain_lbp1(params, (100, 60))
@@ -163,7 +81,7 @@ def _summary() -> str:
         "Regenerate individual artefacts with, e.g.:",
         "  python -m repro fig3",
         "  python -m repro table3 --quick",
-        f"Available artefacts: {', '.join(sorted(_ARTEFACTS))}, all",
+        f"Available artefacts: {', '.join(PAPER_ARTEFACTS)}, all",
         "",
         "Explore the scenario catalog (content-addressed result cache):",
         "  python -m repro scenario list",
@@ -182,10 +100,9 @@ def _summary() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _print_result(result, mode: str, elapsed: float, name: Optional[str] = None) -> None:
-    cached = ", cached" if getattr(result, "from_cache", False) else ""
-    name = name if name is not None else result.name
-    print(f"=== {name} ({mode}, {elapsed:.1f} s{cached}) ===")
+def _print_result(result, mode: str, elapsed: float) -> None:
+    cached = ", cached" if result.from_cache else ""
+    print(f"=== {result.name} ({mode}, {elapsed:.1f} s{cached}) ===")
     print(result.render())
     print()
 
@@ -600,6 +517,16 @@ def _bench_distributed(args) -> int:
         if args.worker_counts
         else DEFAULT_WORKER_COUNTS
     )
+    # Read the baseline before timing: an unreadable file fails fast, and
+    # the fresh report saved below cannot overwrite the file it is gated on.
+    baseline = None
+    if args.baseline:
+        try:
+            with open(args.baseline, encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except (OSError, ValueError) as error:
+            print(f"error: cannot read baseline: {error}", file=sys.stderr)
+            return 2
     tracer = None
     if args.trace_output:
         from repro.obs.trace import Tracer
@@ -631,12 +558,7 @@ def _bench_distributed(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.baseline:
-        try:
-            baseline = json.loads(open(args.baseline).read())
-        except (OSError, ValueError) as error:
-            print(f"error: cannot read baseline: {error}", file=sys.stderr)
-            return 2
+    if baseline is not None:
         problems = compare_distributed_reports(
             report.to_dict(), baseline, tolerance=args.tolerance
         )
@@ -1202,16 +1124,19 @@ def main(argv=None) -> int:
     if argv and argv[0] == "docs":
         return _docs_main(argv[1:])
 
+    from repro.scenarios.registry import PAPER_ARTEFACTS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the figures and tables of the IPDPS 2006 paper "
-        "(see `python -m repro scenario --help` for the scenario catalog and "
-        "`python -m repro bench --help` for the backend benchmark harness).",
+        "through the scenario catalog and its result cache (see `python -m "
+        "repro scenario --help` for the catalog and `python -m repro bench "
+        "--help` for the backend benchmark harness).",
     )
     parser.add_argument(
         "artefact",
         nargs="?",
-        choices=sorted(_ARTEFACTS) + ["all"],
+        choices=PAPER_ARTEFACTS + ("all",),
         help="which figure/table to regenerate (omit for a quick summary)",
     )
     parser.add_argument(
@@ -1237,12 +1162,15 @@ def main(argv=None) -> int:
         print(_summary())
         return 0
 
-    names = sorted(_ARTEFACTS) if args.artefact == "all" else [args.artefact]
+    from repro.scenarios import Orchestrator
+
+    names = PAPER_ARTEFACTS if args.artefact == "all" else (args.artefact,)
     mode = "quick" if args.quick else "full"
+    orchestrator = Orchestrator(workers=args.workers)
     for name in names:
         started = time.perf_counter()
-        result = _ARTEFACTS[name][mode](seed=args.seed, workers=args.workers)
-        _print_result(result, mode, time.perf_counter() - started, name=name)
+        result = orchestrator.run(name, quick=args.quick, seed=args.seed)
+        _print_result(result, mode, time.perf_counter() - started)
     return 0
 
 

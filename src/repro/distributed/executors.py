@@ -13,10 +13,11 @@ and an asynchronous ``start``/``poll`` surface:
 
 Four implementations: :class:`InlineExecutor` (in-process, serial — the
 zero-dependency default), :class:`ProcessShardExecutor` (a local process
-pool), :class:`FuturesShardExecutor` (an adapter over an externally-owned
-:class:`concurrent.futures.Executor`, so the scenario orchestrator's
-shared pool plugs straight into the engine), and the service-side board
-executor for remote ``repro worker`` processes
+pool; :func:`shared_process_executor` hands out the process-wide warm ones
+that the scenario orchestrator, ``delay_sweep`` and named ``"process"``
+requests all use), :class:`FuturesShardExecutor` (an adapter over a
+caller-supplied :class:`concurrent.futures.Executor`), and the
+service-side board executor for remote ``repro worker`` processes
 (:class:`repro.service.shards.BoardExecutor` — it lives with the board so
 this module stays importable without the service).
 """
@@ -282,12 +283,13 @@ def close_shared_pools() -> None:
 
 
 class FuturesShardExecutor(ShardExecutor):
-    """An externally-owned :class:`concurrent.futures.Executor` as slots.
+    """A caller-supplied :class:`concurrent.futures.Executor` as slots.
 
-    The adapter the engine wraps around a shared pool (the scenario
-    orchestrator keeps one ``ProcessPoolExecutor`` alive across every point
-    of a sweep).  The wrapped pool is **never shut down here** — closing
-    this executor only drops the in-flight bookkeeping.
+    The adapter :func:`resolve_executor` wraps around a pool the caller
+    passes to the engine or to ``delay_sweep`` (a thread pool in tests, a
+    process pool the caller manages).  The wrapped pool is **never shut
+    down here** — closing this executor only drops the in-flight
+    bookkeeping.
     """
 
     name = "futures"

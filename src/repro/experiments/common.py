@@ -40,8 +40,9 @@ PAPER_MC_REALISATIONS = 500
 PAPER_EXPERIMENT_REALISATIONS_TABLE1 = 20
 PAPER_EXPERIMENT_REALISATIONS_LBP2 = 60
 
-#: Reference values reported in the paper (used for shape checks and for the
-#: paper-vs-measured summary in EXPERIMENTS.md, never to "fit" results).
+#: Reference values reported in the paper: the ``PAPER_*`` constants below
+#: are where the paper's numbers live (used for shape and tolerance checks,
+#: never to "fit" results).
 PAPER_FIG3_OPTIMAL_GAIN_FAILURE = 0.35
 PAPER_FIG3_OPTIMAL_GAIN_NO_FAILURE = 0.45
 PAPER_FIG3_MIN_COMPLETION_TIME = 117.0

@@ -7,17 +7,18 @@ package provides the corresponding machinery on top of
 
 * :mod:`repro.montecarlo.engine` — **the** Monte-Carlo engine: every
   ensemble is planned into seed blocks, executed through a shard executor
-  (inline, process pool, shared futures pool, or the service's remote
-  worker fleet) and merged exactly.  Serial, pooled, vectorized and
-  sharded runs are all the same pipeline with different knobs;
+  (inline, the process-wide warm pool, a caller's futures pool, or the
+  service's remote worker fleet) and merged exactly.  Serial, pooled,
+  vectorized and sharded runs are all the same pipeline with different
+  knobs;
 * :mod:`repro.montecarlo.runner` — the estimate type and the per-block
   execution primitive (:class:`MonteCarloRunner`);
 * :mod:`repro.montecarlo.statistics` — summary statistics, mergeable
   accumulators (exact-sum moments, histograms, quantile sketches) and
   empirical CDFs;
-* :mod:`repro.montecarlo.sweep` — gain sweeps (Fig. 3), delay sweeps
-  (Table 3) and policy comparisons (Tables 1–2), all routed through the
-  engine;
+* :mod:`repro.montecarlo.sweep` — delay sweeps (Table 3) and policy
+  comparisons, both routed through the engine (Fig. 3's gain sweep is
+  its experiment driver's own loop);
 * :mod:`repro.montecarlo.pooling` — the shared pool-size cap.
 
 Re-exports are lazy (PEP 562): importing this package costs nothing, which
@@ -49,10 +50,8 @@ _EXPORTS = {
     ),
     "repro.montecarlo.sweep": (
         "DelaySweepResult",
-        "GainSweepResult",
         "compare_policies",
         "delay_sweep",
-        "gain_sweep",
     ),
 }
 

@@ -1,8 +1,9 @@
-"""Parameter sweeps: gain curves (Fig. 3), delay studies (Table 3), policy tables.
+"""Parameter sweeps: delay studies (Table 3) and policy comparisons.
 
-Each sweep pairs the Monte-Carlo estimate with the corresponding analytical
-prediction whenever the model applies, mirroring the paper's practice of
-plotting theory, simulation and experiment on the same axes.
+The delay sweep pairs each Monte-Carlo estimate with LBP-1's analytical
+prediction, mirroring the paper's practice of reporting theory and
+simulation side by side.  (Fig. 3's gain sweep lives in its experiment
+driver, :mod:`repro.experiments.fig3_gain_sweep`.)
 
 Every sweep point runs through the unified engine
 (:mod:`repro.montecarlo.engine`), so sweeps inherit its properties for
@@ -14,14 +15,12 @@ re-run with more realisations computes only the delta).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cluster.workload import Workload
-from repro.core.completion_time import CompletionTimeSolver
 from repro.core.parameters import SystemParameters
 from repro.core.policies.base import LoadBalancingPolicy
 from repro.core.policies.lbp1 import LBP1
@@ -29,140 +28,6 @@ from repro.core.policies.lbp2 import LBP2
 from repro.montecarlo.engine import EngineRequest, run_engine
 from repro.montecarlo.runner import MonteCarloEstimate
 from repro.sim.rng import SeedLike
-
-
-@contextmanager
-def _sweep_executor(workers: Optional[int], executor) -> Iterator[object]:
-    """One executor shared by every point of a sweep.
-
-    An external executor (a shared pool, a live shard executor) is yielded
-    as-is and never shut down here; a ``workers > 1`` request creates one
-    process executor for the whole sweep instead of one per point; anything
-    else runs inline.  This replaces the per-sweep pool bookkeeping the
-    old code paths each carried privately.
-    """
-    if executor is not None:
-        yield executor
-        return
-    if workers is not None and workers > 1:
-        from repro.distributed.executors import ProcessShardExecutor
-
-        with ProcessShardExecutor(workers) as pool:
-            yield pool
-        return
-    yield None
-
-
-@dataclass
-class GainSweepResult:
-    """Mean completion time as a function of the LB gain ``K`` (Fig. 3)."""
-
-    gains: np.ndarray
-    theoretical: np.ndarray
-    simulated: np.ndarray
-    simulated_ci_half_width: np.ndarray
-    theoretical_no_failure: Optional[np.ndarray] = None
-    workload: tuple = ()
-
-    @property
-    def optimal_gain_theory(self) -> float:
-        """Gain minimising the analytical curve."""
-        return float(self.gains[int(np.argmin(self.theoretical))])
-
-    @property
-    def optimal_gain_simulation(self) -> float:
-        """Gain minimising the Monte-Carlo curve."""
-        return float(self.gains[int(np.argmin(self.simulated))])
-
-    def as_rows(self) -> List[dict]:
-        """One dictionary per gain value (for table rendering)."""
-        rows = []
-        for idx, gain in enumerate(self.gains):
-            row = {
-                "gain": float(gain),
-                "theory": float(self.theoretical[idx]),
-                "simulation": float(self.simulated[idx]),
-                "simulation_ci": float(self.simulated_ci_half_width[idx]),
-            }
-            if self.theoretical_no_failure is not None:
-                row["theory_no_failure"] = float(self.theoretical_no_failure[idx])
-            rows.append(row)
-        return rows
-
-
-def gain_sweep(
-    params: SystemParameters,
-    workload: Union[Workload, Sequence[int]],
-    gains: Sequence[float],
-    num_realisations: int = 100,
-    sender: Optional[int] = None,
-    receiver: Optional[int] = None,
-    seed: SeedLike = 0,
-    include_no_failure: bool = True,
-    solver: Optional[CompletionTimeSolver] = None,
-    backend: Union[None, str] = None,
-    workers: Optional[int] = None,
-    executor=None,
-    store=None,
-    refresh: bool = False,
-) -> GainSweepResult:
-    """Theory + Monte-Carlo sweep of LBP-1 over a gain grid (Fig. 3).
-
-    ``workers``/``executor`` parallelise the Monte-Carlo points over one
-    shared executor; ``store`` enables block-level caching of each point.
-    Results are identical whichever execution mode runs them.
-    """
-    workload_t = tuple(workload)
-    gains_arr = np.asarray(gains, dtype=float)
-    solver = solver if solver is not None else CompletionTimeSolver(params)
-
-    loads = list(workload_t)
-    if sender is None:
-        sender = 1 if loads[1] > loads[0] else 0
-        receiver = 1 - sender
-
-    theoretical = solver.gain_sweep(workload_t, gains_arr, sender=sender, receiver=receiver)
-
-    no_failure = None
-    if include_no_failure:
-        nf_solver = CompletionTimeSolver(params.without_failures())
-        no_failure = nf_solver.gain_sweep(
-            workload_t, gains_arr, sender=sender, receiver=receiver
-        )
-
-    simulated = np.empty_like(gains_arr)
-    half_widths = np.empty_like(gains_arr)
-    from repro.sim.rng import spawn_seeds
-
-    per_gain_seeds = spawn_seeds(seed, len(gains_arr))
-    with _sweep_executor(workers, executor) as shared:
-        for idx, gain in enumerate(gains_arr):
-            policy = LBP1(float(gain), sender=sender, receiver=receiver)
-            estimate = run_engine(
-                EngineRequest(
-                    params=params,
-                    policy=policy,
-                    workload=workload_t,
-                    num_realisations=num_realisations,
-                    seed=per_gain_seeds[idx],
-                    backend=backend,
-                    executor=shared,
-                    workers=workers,
-                    store=store,
-                    refresh=refresh,
-                )
-            ).estimate
-            simulated[idx] = estimate.mean_completion_time
-            half_widths[idx] = estimate.summary.half_width
-
-    return GainSweepResult(
-        gains=gains_arr,
-        theoretical=theoretical,
-        simulated=simulated,
-        simulated_ci_half_width=half_widths,
-        theoretical_no_failure=no_failure,
-        workload=workload_t,
-    )
 
 
 @dataclass
@@ -221,15 +86,17 @@ def delay_sweep(
     Passing an explicit ``lbp2_gain`` pins LBP-2's initial gain instead of
     re-optimising it.
 
-    ``workers``/``executor`` parallelise the Monte-Carlo estimates over one
-    shared executor with bit-identical results; an external ``executor`` is
-    reused across every delay point and never shut down here.
+    ``workers``/``executor`` parallelise the Monte-Carlo estimates with
+    bit-identical results.  The executor is resolved once for the whole
+    sweep (``workers > 1`` picks the process-wide warm pool) and never shut
+    down here.
     """
     from repro.core.optimize import (
         default_gain_grid,
         optimal_gain_lbp1,
         optimal_gain_lbp2_initial,
     )
+    from repro.distributed.executors import resolve_executor
     from repro.sim.rng import spawn_seeds
 
     workload_t = tuple(workload)
@@ -244,42 +111,41 @@ def delay_sweep(
     lbp1_mc = np.empty_like(delays)
     lbp2_mc = np.empty_like(delays)
     per_delay_seeds = spawn_seeds(seed, 2 * len(delays))
+    shared = resolve_executor(executor, workers=workers)
 
-    with _sweep_executor(workers, executor) as shared:
-
-        def estimate(point_params, policy, point_seed) -> float:
-            return run_engine(
-                EngineRequest(
-                    params=point_params,
-                    policy=policy,
-                    workload=workload_t,
-                    num_realisations=num_realisations,
-                    seed=point_seed,
-                    executor=shared,
-                    workers=workers,
-                    store=store,
-                    refresh=refresh,
-                )
-            ).estimate.mean_completion_time
-
-        for idx, delay in enumerate(delays):
-            scaled = params.with_delay_per_task(float(delay))
-            optimum = optimal_gain_lbp1(scaled, workload_t, gains=gain_grid)
-            lbp1_theory[idx] = optimum.optimal_mean
-
-            lbp1_policy = LBP1(
-                optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver
+    def estimate(point_params, policy, point_seed) -> float:
+        return run_engine(
+            EngineRequest(
+                params=point_params,
+                policy=policy,
+                workload=workload_t,
+                num_realisations=num_realisations,
+                seed=point_seed,
+                executor=shared,
+                workers=workers,
+                store=store,
+                refresh=refresh,
             )
-            lbp1_mc[idx] = estimate(scaled, lbp1_policy, per_delay_seeds[2 * idx])
+        ).estimate.mean_completion_time
 
-            if lbp2_gain is None:
-                initial_gain = optimal_gain_lbp2_initial(
-                    scaled, workload_t, gains=gain_grid
-                ).optimal_gain
-            else:
-                initial_gain = float(lbp2_gain)
-            lbp2_policy = LBP2(initial_gain)
-            lbp2_mc[idx] = estimate(scaled, lbp2_policy, per_delay_seeds[2 * idx + 1])
+    for idx, delay in enumerate(delays):
+        scaled = params.with_delay_per_task(float(delay))
+        optimum = optimal_gain_lbp1(scaled, workload_t, gains=gain_grid)
+        lbp1_theory[idx] = optimum.optimal_mean
+
+        lbp1_policy = LBP1(
+            optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver
+        )
+        lbp1_mc[idx] = estimate(scaled, lbp1_policy, per_delay_seeds[2 * idx])
+
+        if lbp2_gain is None:
+            initial_gain = optimal_gain_lbp2_initial(
+                scaled, workload_t, gains=gain_grid
+            ).optimal_gain
+        else:
+            initial_gain = float(lbp2_gain)
+        lbp2_policy = LBP2(initial_gain)
+        lbp2_mc[idx] = estimate(scaled, lbp2_policy, per_delay_seeds[2 * idx + 1])
 
     return DelaySweepResult(
         delays=delays,

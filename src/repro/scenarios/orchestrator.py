@@ -1,4 +1,4 @@
-"""Batch execution of scenarios: dispatch, caching, shared worker pool.
+"""Batch execution of scenarios: dispatch, caching, the shared warm pool.
 
 The :class:`Orchestrator` is the single entry point that turns a
 :class:`~repro.scenarios.spec.ScenarioSpec` into a
@@ -12,17 +12,19 @@ The :class:`Orchestrator` is the single entry point that turns a
 3. persist the result under the hash and return it.
 
 Monte-Carlo-heavy kinds all run through the unified engine
-(:mod:`repro.montecarlo.engine`) and share one
-:class:`ProcessPoolExecutor` owned by the orchestrator (``workers``
-constructor argument), so a sweep pays pool start-up once instead of once
-per point; results are bit-identical to serial execution because the
-engine's seed blocks draw their streams before distribution.
+(:mod:`repro.montecarlo.engine`).  Each point resolves its executor once:
+sharded points use the ``shard_executor``, pooled points (``workers > 1``)
+the process-wide warm pool of
+:func:`~repro.distributed.executors.shared_process_executor`, and the rest
+run inline.  The warm pool outlives the orchestrator, so a sweep — or a
+second orchestrator in the same process — pays pool start-up once; results
+are bit-identical to serial execution because the engine's seed blocks
+draw their streams before distribution.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -127,7 +129,7 @@ def apply_overrides(
 
 
 class Orchestrator:
-    """Runs scenarios through the cache and a shared process pool.
+    """Runs scenarios through the cache and the process-wide warm pool.
 
     Parameters
     ----------
@@ -136,12 +138,10 @@ class Orchestrator:
         ``REPRO_CACHE_DIR`` / ``~/.cache/repro``.  ``None`` with
         ``use_cache=False`` disables caching entirely.
     workers:
-        Size of the shared process pool for Monte-Carlo-heavy kinds.
-        ``None`` or ``<= 1`` keeps everything in-process (bit-identical
-        results either way).
-    executor:
-        An externally-owned executor to use instead of creating one; it is
-        never shut down by the orchestrator.
+        Slots of the shared warm pool
+        (:func:`~repro.distributed.executors.shared_process_executor`)
+        that Monte-Carlo-heavy kinds run on.  ``None`` or ``<= 1`` keeps
+        everything in-process (bit-identical results either way).
     shard_executor:
         Where sharded specs (``spec.shards >= 1``) execute: an executor
         name (``inline``/``process``) or a live
@@ -166,7 +166,6 @@ class Orchestrator:
         self,
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         use_cache: bool = True,
         shard_executor: Any = None,
         shard_store: Any = None,
@@ -180,12 +179,13 @@ class Orchestrator:
         self.shard_options = dict(shard_options or {})
         self._use_shard_store = use_cache
         self._shard_store = shard_store
-        self._external_executor = executor
-        self._owned_executor: Optional[ProcessPoolExecutor] = None
         #: True while a ``force=True`` run executes: sharded runners must
         #: then recompute (and re-persist) every seed block instead of
         #: serving them from the shard store.
         self._refresh_shards = False
+        #: Where the engine runs of the point being executed go (see
+        #: :meth:`_executor_for`); ``None`` outside :meth:`run`.
+        self._point_executor: Any = None
 
     @property
     def shard_store(self):
@@ -205,38 +205,30 @@ class Orchestrator:
             self._shard_store = ShardStore(root)
         return self._shard_store
 
-    # -- shared pool -------------------------------------------------------
+    # -- executors ---------------------------------------------------------
 
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The shared executor, creating the owned pool on first use."""
-        if self._external_executor is not None:
-            return self._external_executor
-        if self.workers is None or self.workers <= 1:
-            return None
-        if self._owned_executor is None:
-            self._owned_executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._owned_executor
+    def _executor_for(self, spec: ScenarioSpec) -> Any:
+        """The executor every engine run of ``spec`` uses.
 
-    def resolved_shard_executor(self):
-        """The live shard executor for sharded specs.
-
-        Executor *names* (and ``None``) resolve to a fresh
-        :class:`~repro.distributed.executors.InlineExecutor` or to the
-        process-wide warm pool, which outlives this orchestrator; a
-        :class:`~repro.distributed.executors.ShardExecutor` instance (e.g.
-        the service's worker-board executor) is used as-is.  None of them
-        is closed here.
+        Sharded points go to the ``shard_executor`` (names resolve to an
+        inline slot or the warm pool; instances are used as-is), pooled
+        points to the warm pool with ``workers`` slots, and everything else
+        gets ``None`` so the engine runs it inline.  Nothing returned here
+        is closed by the orchestrator or the engine.
         """
-        from repro.distributed.executors import resolve_executor
+        from repro.distributed.executors import (
+            resolve_executor,
+            shared_process_executor,
+        )
 
-        return resolve_executor(self.shard_executor, workers=self.workers)
+        if spec.shards > 0:
+            return resolve_executor(self.shard_executor, workers=self.workers)
+        if self.workers is not None and self.workers > 1:
+            return shared_process_executor(self.workers)
+        return None
 
     def close(self) -> None:
-        """Shut down the owned pool (external executors are left alone)."""
-        if self._owned_executor is not None:
-            self._owned_executor.shutdown()
-            self._owned_executor = None
+        """Nothing to release: the warm pool is process-wide (atexit-closed)."""
 
     def __enter__(self) -> "Orchestrator":
         return self
@@ -281,12 +273,13 @@ class Orchestrator:
         import numpy as np
 
         started = time.perf_counter()
-        previous_refresh = self._refresh_shards
-        self._refresh_shards = force
+        executor = self._executor_for(spec)
+        previous = (self._refresh_shards, self._point_executor)
+        self._refresh_shards, self._point_executor = force, executor
         try:
             scalars, arrays, rendered = run_kind(spec, self)
         finally:
-            self._refresh_shards = previous_refresh
+            self._refresh_shards, self._point_executor = previous
         elapsed = time.perf_counter() - started
         result = ScenarioResult(
             name=spec.name,
@@ -309,25 +302,11 @@ class Orchestrator:
         backend: Optional[str] = None,
         shards: Optional[int] = None,
     ) -> List[ScenarioResult]:
-        """Run several scenarios, sharing this orchestrator's pool and cache."""
+        """Run several scenarios, sharing this orchestrator's cache."""
         return [
             self.run(s, quick=quick, force=force, backend=backend, shards=shards)
             for s in scenarios
         ]
-
-    def sweep(
-        self,
-        family_name: str,
-        quick: bool = False,
-        force: bool = False,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
-    ) -> List[ScenarioResult]:
-        """Expand a scenario family and run every point (cached points skip)."""
-        family = registry.get_family(family_name)
-        return self.run_many(
-            family.expand(quick), force=force, backend=backend, shards=shards
-        )
 
     def compare(
         self,
@@ -430,7 +409,7 @@ def _run_fig3(spec: ScenarioSpec, ctx: Orchestrator) -> RunnerOutput:
         experiment_realisations=spec.experiment_realisations,
         seed=spec.seed,
         workers=ctx.workers,
-        executor=ctx.executor,
+        executor=ctx._point_executor,
         store=ctx.shard_store,
         refresh=ctx._refresh_shards,
     )
@@ -587,7 +566,7 @@ def _run_table3(spec: ScenarioSpec, ctx: Orchestrator) -> RunnerOutput:
         mc_realisations=spec.mc_realisations,
         seed=spec.seed,
         workers=ctx.workers,
-        executor=ctx.executor,
+        executor=ctx._point_executor,
         store=ctx.shard_store,
         refresh=ctx._refresh_shards,
     )
@@ -616,10 +595,11 @@ def _estimate(spec: ScenarioSpec, ctx: Orchestrator, params, policy, seed):
     """One Monte-Carlo estimate through the unified engine.
 
     Every run — serial, pooled or sharded — is the same plan→execute→merge
-    pipeline; only the executor differs.  ``spec.shards >= 1`` dispatches
-    to the orchestrator's shard executor (process pool / remote worker
-    board) with the spec's shard count; anything else runs over the shared
-    futures pool when one is configured and inline otherwise.  The work
+    pipeline; only the executor differs, and the orchestrator resolved it
+    once for the point (:meth:`Orchestrator._executor_for`): the shard
+    executor (process pool / remote worker board) with the spec's shard
+    count for ``spec.shards >= 1``, else the warm pool when ``workers > 1``,
+    else inline.  The work
     item carries a fully-serialized mc-point spec, so runners that built
     their policy programmatically (pinned analytical gains) or were handed
     a spawned seed get both folded back into spec fields first — which is
@@ -638,9 +618,8 @@ def _estimate(spec: ScenarioSpec, ctx: Orchestrator, params, policy, seed):
         def on_event(event: Dict[str, Any]) -> None:
             progress({"point": spec.name, **event})
 
-    executor = ctx.resolved_shard_executor() if spec.shards > 0 else ctx.executor
     common = dict(
-        executor=executor,
+        executor=ctx._point_executor,
         workers=ctx.workers,
         store=ctx.shard_store,
         refresh=ctx._refresh_shards,

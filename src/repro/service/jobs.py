@@ -11,9 +11,9 @@ very different cost classes through one interface:
   numpy/scipy;
 * **misses** run on a single background worker coroutine that executes the
   job's points in a thread through one shared
-  :class:`~repro.scenarios.orchestrator.Orchestrator` (one process pool and
-  one cache for the whole service), publishing per-point progress events as
-  it goes.
+  :class:`~repro.scenarios.orchestrator.Orchestrator` (one cache for the
+  whole service; pooled points run on the process-wide warm pool),
+  publishing per-point progress events as it goes.
 
 Progress is observable two ways: polling :meth:`Job.to_dict` or streaming
 :meth:`JobQueue.events`, which yields each state change exactly once per
@@ -249,8 +249,9 @@ class JobQueue:
     """Plans, schedules and tracks jobs for the results service.
 
     Must be constructed (and used) inside a running event loop.  One
-    orchestrator — hence one shared Monte-Carlo process pool — is created
-    lazily on the first cache miss and reused for every subsequent job.
+    orchestrator is created lazily on the first cache miss and reused for
+    every subsequent job; its pooled points share the process-wide warm
+    pool, which lives until interpreter exit.
     """
 
     def __init__(
@@ -276,7 +277,7 @@ class JobQueue:
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self) -> None:
-        """Cancel the worker and shut down the shared process pool."""
+        """Cancel the worker and drop the orchestrator."""
         if self._worker is not None:
             self._worker.cancel()
             try:
@@ -284,9 +285,7 @@ class JobQueue:
             except asyncio.CancelledError:
                 pass
             self._worker = None
-        if self._orchestrator is not None:
-            await asyncio.to_thread(self._orchestrator.close)
-            self._orchestrator = None
+        self._orchestrator = None
 
     # -- submission --------------------------------------------------------
 

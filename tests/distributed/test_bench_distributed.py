@@ -152,6 +152,32 @@ class TestBaselineGate:
         )
         assert any("regressed" in p for p in problems)
 
+    def test_cli_gates_against_the_baseline_it_is_about_to_overwrite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Without --output the fresh report lands in BENCH_distributed.json;
+        # a baseline at that same path must be read before it is replaced.
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        report = run_distributed_benchmark(quick=True, worker_counts=(1,)).to_dict()
+        report["timings"][0]["mean_completion_time"] += 1.0
+        (tmp_path / "BENCH_distributed.json").write_text(json.dumps(report))
+        argv = ["bench", "--distributed", "--quick", "--worker-counts", "1"]
+        assert main(argv + ["--baseline", "BENCH_distributed.json"]) == 1
+        assert "mean_completion_time diverged" in capsys.readouterr().err
+
+    def test_cli_unreadable_baseline_fails_before_timing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["bench", "--distributed", "--quick", "--worker-counts", "1"]
+        assert main(argv + ["--baseline", "missing.json"]) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_distributed.json").exists()
+
     def test_committed_baseline_is_current_schema(self):
         baseline = json.loads((REPO / "BENCH_distributed.json").read_text())
         assert baseline["schema_version"] == DISTRIBUTED_BENCH_SCHEMA_VERSION

@@ -1,50 +1,10 @@
-"""Tests for gain/delay sweeps and policy comparisons."""
+"""Tests for delay sweeps and policy comparisons."""
 
 import numpy as np
 import pytest
 
 from repro.core.policies import LBP1, LBP2, NoBalancing
-from repro.montecarlo.sweep import (
-    DelaySweepResult,
-    GainSweepResult,
-    compare_policies,
-    delay_sweep,
-    gain_sweep,
-)
-
-
-class TestGainSweep:
-    def test_structure_and_agreement(self, fast_params):
-        gains = [0.0, 0.3, 0.6, 0.9]
-        result = gain_sweep(
-            fast_params, (40, 5), gains, num_realisations=60, seed=0
-        )
-        assert isinstance(result, GainSweepResult)
-        assert len(result.theoretical) == len(gains)
-        assert len(result.simulated) == len(gains)
-        assert result.theoretical_no_failure is not None
-        # Monte-Carlo curve tracks the theoretical one reasonably closely.
-        relative_error = np.abs(result.simulated - result.theoretical) / result.theoretical
-        assert np.all(relative_error < 0.25)
-
-    def test_no_failure_curve_optional(self, fast_params):
-        result = gain_sweep(
-            fast_params, (20, 5), [0.2, 0.8], num_realisations=20, seed=0,
-            include_no_failure=False,
-        )
-        assert result.theoretical_no_failure is None
-
-    def test_rows_rendering(self, fast_params):
-        result = gain_sweep(fast_params, (20, 5), [0.2, 0.8], num_realisations=10, seed=0)
-        rows = result.as_rows()
-        assert len(rows) == 2
-        assert set(rows[0]) >= {"gain", "theory", "simulation", "simulation_ci"}
-
-    def test_optimal_gain_properties(self, fast_params):
-        gains = np.linspace(0, 1, 6)
-        result = gain_sweep(fast_params, (40, 5), gains, num_realisations=40, seed=1)
-        assert result.optimal_gain_theory in gains
-        assert result.optimal_gain_simulation in gains
+from repro.montecarlo.sweep import DelaySweepResult, compare_policies, delay_sweep
 
 
 class TestDelaySweep:
@@ -89,6 +49,18 @@ class TestDelaySweep:
         # Larger delays cannot make either policy faster.
         assert result.lbp1_means[1] >= result.lbp1_means[0] - 0.5
         assert result.lbp2_means[1] >= result.lbp2_means[0] - 0.5
+
+    def test_pooled_sweep_runs_on_the_warm_pool_and_matches_serial(self, fast_params):
+        from repro.distributed import executors
+
+        executors.close_shared_pools()
+        kwargs = dict(delays_per_task=[0.005, 0.2], num_realisations=8, seed=2)
+        serial = delay_sweep(fast_params, (30, 5), **kwargs)
+        pooled = delay_sweep(fast_params, (30, 5), workers=2, **kwargs)
+        assert set(executors._SHARED_POOLS) == {2}
+        assert executors._SHARED_POOLS[2]._pool is not None  # used, left running
+        np.testing.assert_array_equal(pooled.lbp1_means, serial.lbp1_means)
+        np.testing.assert_array_equal(pooled.lbp2_means, serial.lbp2_means)
 
 
 class TestComparePolicies:

@@ -123,9 +123,10 @@ class TestSweepAndCompare:
         )
         registry.register_family(family)
         try:
-            results = orchestrator.sweep("tmp-fam")
+            points = registry.get_family("tmp-fam").expand(False)
+            results = orchestrator.run_many(points)
             assert [r.name for r in results] == ["tmp-fam/a", "tmp-fam/b"]
-            assert all(r.from_cache for r in orchestrator.sweep("tmp-fam"))
+            assert all(r.from_cache for r in orchestrator.run_many(points))
         finally:
             registry._FAMILIES.pop("tmp-fam", None)
 
@@ -166,28 +167,50 @@ class TestSweepAndCompare:
 
 
 class TestSharedExecutor:
-    def test_serial_and_pooled_runs_are_bit_identical(self, tmp_path):
+    def test_serial_and_pooled_runs_are_bit_identical(self):
+        from repro.distributed import executors
+
         serial = Orchestrator(cache=None, use_cache=False).run(tiny_spec())
         with Orchestrator(
             cache=None, use_cache=False, workers=2
         ) as pooled_orchestrator:
             pooled = pooled_orchestrator.run(tiny_spec())
-            assert pooled_orchestrator._owned_executor is not None
-        assert pooled_orchestrator._owned_executor is None  # closed on exit
+        # The pooled point ran on the process-wide warm pool, which
+        # outlives the orchestrator.
+        assert executors._SHARED_POOLS[2]._pool is not None
         np.testing.assert_array_equal(
             pooled.arrays["completion_times"], serial.arrays["completion_times"]
         )
 
-    def test_external_executor_is_reused_not_closed(self):
-        from concurrent.futures import ThreadPoolExecutor
+    def test_every_pooled_point_uses_the_one_warm_pool(self):
+        # Unsharded points of any block count and a sharded point all land
+        # on the same ``workers``-slot warm pool: no private pool, no pool
+        # sized by the point's item count.
+        from repro.distributed import executors
 
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            orchestrator = Orchestrator(cache=None, use_cache=False, executor=pool)
-            assert orchestrator.executor is pool
-            orchestrator.run(tiny_spec())
-            orchestrator.close()
-            # Still usable after close(): the orchestrator does not own it.
-            assert pool.submit(lambda: 1).result() == 1
+        executors.close_shared_pools()
+        unsharded = [
+            tiny_spec(mc_realisations=4 * blocks, shard_block=4, seed=blocks)
+            for blocks in (1, 3, 8)
+        ]
+        sharded = tiny_spec(mc_realisations=16, shard_block=4, shards=2)
+        serial = Orchestrator(cache=None, use_cache=False).run_many(
+            unsharded + [sharded]
+        )
+        orchestrator = Orchestrator(cache=None, use_cache=False, workers=2)
+        pooled = orchestrator.run_many(unsharded)
+        assert set(executors._SHARED_POOLS) == {2}
+        warm = executors._SHARED_POOLS[2]._pool
+        assert warm is not None
+        pooled.append(orchestrator.run(sharded))
+        assert set(executors._SHARED_POOLS) == {2}
+        assert executors._SHARED_POOLS[2]._pool is warm
+        for inline, on_pool in zip(serial, pooled):
+            np.testing.assert_array_equal(
+                on_pool.arrays["completion_times"], inline.arrays["completion_times"]
+            )
+        orchestrator.close()
+        assert executors._SHARED_POOLS[2]._pool is warm
 
     def test_sharded_runs_leave_the_shared_warm_pool_running(self):
         # A sharded run on ``process`` resolves the process-wide warm pool.

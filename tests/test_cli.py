@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import _ARTEFACTS, main
+from repro.__main__ import main
+from repro.scenarios.registry import PAPER_ARTEFACTS, get_entry
 
 
 @pytest.fixture(autouse=True)
@@ -18,18 +19,31 @@ class TestCLI:
         assert "0.35" in output
         assert "IPDPS 2006" in output
 
-    def test_artefact_registry_covers_every_figure_and_table(self):
-        assert set(_ARTEFACTS) == {
+    def test_artefact_registry_covers_every_figure_and_table(self, capsys):
+        assert set(PAPER_ARTEFACTS) == {
             "fig1", "fig2", "fig3", "fig4", "fig5", "table1", "table2", "table3",
         }
-        for modes in _ARTEFACTS.values():
-            assert set(modes) == {"full", "quick"}
+        for name in PAPER_ARTEFACTS:
+            entry = get_entry(name)
+            # One full and one genuinely reduced quick definition each.
+            assert entry.quick.content_hash != entry.spec.content_hash
+        # The CLI accepts exactly the registry's artefacts (plus ``all``).
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = "{" + ",".join(PAPER_ARTEFACTS + ("all",)) + "}"
+        assert choices in capsys.readouterr().out
 
     def test_quick_fig4_run(self, capsys):
         assert main(["fig4", "--quick"]) == 0
         output = capsys.readouterr().out
         assert "fig4" in output
         assert "completion times" in output
+        # One quick definition per artefact: the trajectory is sampled at the
+        # registry's ``sample_points``, not at a count private to the CLI.
+        lines = output.splitlines()
+        first_row = next(i for i, line in enumerate(lines) if line.startswith("----")) + 1
+        rows = lines[first_row : lines.index("", first_row)]
+        assert len(rows) == get_entry("fig4").quick.option("sample_points") == 15
 
     def test_quick_fig2_run(self, capsys):
         assert main(["fig2", "--quick"]) == 0
@@ -56,6 +70,30 @@ class TestCLI:
         quick = run_fig4(workload=(50, 30))
         assert quick.workload != full.workload
         assert sum(quick.workload) < sum(full.workload)
+
+
+#: Artefacts whose quick run takes a few seconds stay out of tier-1.
+_SLOW_TO_RUN = {"fig5", "table1", "table2", "table3"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.slow) if name in _SLOW_TO_RUN else name
+        for name in PAPER_ARTEFACTS
+    ],
+)
+def test_artefact_cli_and_scenario_run_share_one_cache_entry(name, capsys):
+    """``repro <artefact>`` is ``scenario run <artefact>``: same cache entry,
+    same rendered body."""
+    assert main([name, "--quick"]) == 0
+    computed = capsys.readouterr().out.splitlines()
+    assert main(["scenario", "run", name, "--quick"]) == 0
+    served = capsys.readouterr().out.splitlines()
+    assert computed[0].startswith(f"=== {name} (quick, ")
+    assert "cached" not in computed[0]
+    assert served[0].endswith(", cached) ===")
+    assert served[1:] == computed[1:]
 
 
 class TestScenarioCLI:
