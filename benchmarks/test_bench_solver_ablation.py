@@ -45,8 +45,9 @@ def test_solver_ctmc(benchmark, expected_value, bench_once):
 
 @pytest.mark.benchmark(group="solver-ablation")
 def test_gain_sweep_with_cached_hat_table(benchmark):
-    """A full 21-point gain sweep re-using the cached no-transit table —
-    the configuration every optimisation call in the experiments hits."""
+    """A 21-point gain sweep for one sender/receiver pair on a fresh solver:
+    one no-transit table sized for that pair, then every gain's main table
+    in one anti-diagonal sweep (the Fig. 3 theory curve)."""
     import numpy as np
 
     def sweep():
@@ -55,3 +56,22 @@ def test_gain_sweep_with_cached_hat_table(benchmark):
 
     means = benchmark.pedantic(sweep, rounds=3, iterations=1)
     assert means.min() == pytest.approx(116.75, rel=0.01)
+
+
+@pytest.mark.benchmark(group="solver-ablation")
+def test_delay_sweep_point_search(benchmark):
+    """One ``delay-sweep`` point's whole optimiser search at d = 0.5: LBP-1's
+    gain over both sender/receiver pairs, then LBP-2's initial gain."""
+    from repro.core.optimize import optimal_gain_lbp1, optimal_gain_lbp2_initial
+
+    params = paper_parameters().with_delay_per_task(0.5)
+
+    def search():
+        lbp1 = optimal_gain_lbp1(params, WORKLOAD)
+        lbp2 = optimal_gain_lbp2_initial(params, WORKLOAD)
+        return lbp1, lbp2
+
+    lbp1, lbp2 = benchmark.pedantic(search, rounds=5, iterations=1)
+    assert (lbp1.optimal_gain, lbp1.sender) == (pytest.approx(0.35), 0)
+    assert lbp1.optimal_mean == pytest.approx(117.69096332660969, rel=1e-12)
+    assert lbp2.optimal_gain == pytest.approx(0.95)

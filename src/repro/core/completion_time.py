@@ -20,8 +20,11 @@ solvers are provided:
 * ``"reference"`` — a straightforward double loop, one small solve per load
   pair (easiest to audit against the equations in the paper);
 * ``"vectorized"`` — the same recursion swept along anti-diagonals
-  ``M1 + M2 = const`` so that thousands of independent small systems are
-  solved in one batched :func:`numpy.linalg.solve` call;
+  ``M1 + M2 = const``: a cell depends only on its two neighbours on the
+  previous diagonal, so a whole diagonal is one batched
+  :func:`numpy.linalg.solve` call.  A whole gain grid is one sweep: on each
+  diagonal the cells of every gain's main table are stacked into one
+  system, and only the previous diagonal of each table is kept;
 * ``"ctmc"`` — an independent formulation that builds the full absorbing
   continuous-time Markov chain and solves one sparse linear system for the
   expected absorption time (used to cross-validate the recursion).
@@ -30,11 +33,12 @@ solvers are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.parameters import SystemParameters, validate_workload
+from repro.core.policies.base import Transfer
 from repro.core.regeneration import (
     TwoNodeRates,
     batched_coupling_systems,
@@ -52,6 +56,7 @@ __all__ = [
     "LBP1Prediction",
     "expected_completion_time",
     "expected_completion_time_lbp1",
+    "lbp1_transfers",
 ]
 
 
@@ -85,8 +90,11 @@ class CompletionTimeSolver:
     Notes
     -----
     The solver caches the no-transit table ``µ̂`` between calls (it depends
-    only on the system parameters), which makes gain sweeps over ``K`` cheap:
-    only the much smaller main table is recomputed per gain.
+    only on the system parameters and the reachable work states) and sizes
+    it once per call for every transfer that call evaluates.  With
+    ``"vectorized"`` the main tables of all those transfers — one per gain of
+    a sweep — are then filled in a single anti-diagonal sweep that keeps only
+    the previous diagonal of each table.
     """
 
     METHODS = ("vectorized", "reference", "ctmc")
@@ -141,35 +149,10 @@ class CompletionTimeSolver:
             return self._mean_via_ctmc(loads, in_transit, destination, state, transit_rate)
 
         states = reachable_work_states(state, self.params)
-        state_idx = states.index(state)
-
-        transit_add = (
-            in_transit if destination == 0 else 0,
-            in_transit if destination == 1 else 0,
+        means = self._solve_transfers(
+            states, [(loads, in_transit, destination, transit_rate)]
         )
-        if in_transit == 0:
-            hat = self._hat_table(states, loads)
-            return float(hat[state_idx, loads[0], loads[1]])
-
-        if transit_rate is None:
-            source = 1 - destination
-            transit_rate = self.params.transfer_rate(source, destination, in_transit)
-        if not np.isfinite(transit_rate):
-            # Instantaneous transfer: the batch is effectively already there.
-            post = (loads[0] + transit_add[0], loads[1] + transit_add[1])
-            hat = self._hat_table(states, post)
-            return float(hat[state_idx, post[0], post[1]])
-
-        hat_shape = (loads[0] + transit_add[0], loads[1] + transit_add[1])
-        hat = self._hat_table(states, hat_shape)
-        main = self._solve_table(
-            states,
-            shape=loads,
-            transit_rate=float(transit_rate),
-            hat_table=hat,
-            transit_add=transit_add,
-        )
-        return float(main[state_idx, loads[0], loads[1]])
+        return float(means[0, states.index(state)])
 
     def lbp1(
         self,
@@ -185,27 +168,14 @@ class CompletionTimeSolver:
         and travel to the receiver with the system's load-dependent delay.
         """
         loads = validate_workload(workload, self.params)
-        if not 0.0 <= gain <= 1.0:
-            raise ValueError(f"gain must lie in [0, 1], got {gain!r}")
-        sender, receiver = _resolve_pair(loads, sender, receiver)
-
-        batch = int(round(gain * loads[sender]))
-        batch = min(batch, loads[sender])
-        remaining = list(loads)
-        remaining[sender] -= batch
-
-        mean = self.mean_completion_time(
-            tasks=remaining,
-            in_transit=batch,
-            destination=receiver,
-            initial_state=initial_state,
-        )
+        (transfer,) = lbp1_transfers(loads, [gain], sender, receiver)
+        (mean,) = self.transfer_sweep(loads, [transfer], initial_state)
         return LBP1Prediction(
-            mean=mean,
+            mean=float(mean),
             gain=float(gain),
-            sender=sender,
-            receiver=receiver,
-            batch_size=batch,
+            sender=transfer.source,
+            receiver=transfer.destination,
+            batch_size=transfer.num_tasks,
             workload=(loads[0], loads[1]),
             initial_state=(int(initial_state[0]), int(initial_state[1])),
         )
@@ -220,32 +190,49 @@ class CompletionTimeSolver:
     ) -> np.ndarray:
         """Mean completion time for every gain in ``gains`` (Fig. 3 curve)."""
         loads = validate_workload(workload, self.params)
-        sender_r, receiver_r = _resolve_pair(loads, sender, receiver)
-        # Pre-warm the hat cache with the largest post-arrival load so each
-        # gain evaluation only fills its (small) main table.
-        states = reachable_work_states(validate_work_state(initial_state, 2), self.params)
-        max_batch = int(round(max(gains, default=0.0) * loads[sender_r]))
-        post = list(loads)
-        post[sender_r] -= max_batch
-        post[receiver_r] += max_batch
-        warm_shape = (
-            max(loads[0], post[0] if receiver_r == 0 else loads[0] - 0),
-            max(loads[1], post[1] if receiver_r == 1 else loads[1]),
+        return self.transfer_sweep(
+            loads, lbp1_transfers(loads, gains, sender, receiver), initial_state
         )
-        self._hat_table(states, warm_shape)
 
-        return np.array(
-            [
-                self.lbp1(
-                    loads,
-                    gain,
-                    sender=sender_r,
-                    receiver=receiver_r,
-                    initial_state=initial_state,
-                ).mean
-                for gain in gains
-            ]
-        )
+    def transfer_sweep(
+        self,
+        workload: Sequence[int],
+        transfers: Sequence[Transfer],
+        initial_state: Sequence[int] = (1, 1),
+    ) -> np.ndarray:
+        """Mean completion time of every one-shot transfer in ``transfers``.
+
+        Each transfer moves ``num_tasks`` of its source's tasks in
+        ``workload`` to its destination at ``t = 0``, with the system's
+        load-dependent delay.  ``"vectorized"`` solves all of them in one
+        anti-diagonal sweep; ``"reference"`` and ``"ctmc"`` solve them one by
+        one.
+        """
+        loads = validate_workload(workload, self.params)
+        items = []
+        for transfer in transfers:
+            sender, receiver = _resolve_pair(loads, transfer.source, transfer.destination)
+            batch = transfer.num_tasks
+            if batch > loads[sender]:
+                raise ValueError(
+                    f"node {sender} holds {loads[sender]} tasks, cannot send {batch}"
+                )
+            remaining = list(loads)
+            remaining[sender] -= batch
+            items.append((tuple(remaining), batch, receiver, None))
+        if not items:
+            return np.array([])
+        if self.method == "ctmc":
+            return np.array(
+                [
+                    self.mean_completion_time(tasks, batch, receiver, initial_state)
+                    for tasks, batch, receiver, _ in items
+                ]
+            )
+        state = validate_work_state(initial_state, 2)
+        states = reachable_work_states(state, self.params)
+        means = self._solve_transfers(states, items)
+        return means[:, states.index(state)].copy()
 
     # ----------------------------------------------------------- internals --
 
@@ -263,72 +250,145 @@ class CompletionTimeSolver:
                 max(shape[0], cached.shape[1] - 1),
                 max(shape[1], cached.shape[2] - 1),
             )
-        table = self._solve_table(
-            states, shape=target, transit_rate=0.0, hat_table=None, transit_add=(0, 0)
-        )
+        if self.method == "reference":
+            table = self._solve_table_reference(
+                states, target, transit_rate=0.0, hat_table=None, transit_add=(0, 0)
+            )
+        else:
+            table = self._solve_hat_vectorized(states, target)
         self._hat_cache[states] = table
         return table
 
-    def _solve_table(
+    def _solve_transfers(
         self,
         states: Tuple[WorkState, ...],
-        shape: Sequence[int],
-        transit_rate: float,
-        hat_table: Optional[np.ndarray],
-        transit_add: Tuple[int, int],
+        transfers: Sequence[Tuple[Sequence[int], int, int, Optional[float]]],
     ) -> np.ndarray:
-        if self.method == "reference":
-            return self._solve_table_reference(
-                states, shape, transit_rate, hat_table, transit_add
-            )
-        return self._solve_table_vectorized(
-            states, shape, transit_rate, hat_table, transit_add
-        )
+        """``µ`` in every work state for each ``(tasks, batch, destination, rate)``.
 
-    def _solve_table_vectorized(
-        self,
-        states: Tuple[WorkState, ...],
-        shape: Sequence[int],
-        transit_rate: float,
-        hat_table: Optional[np.ndarray],
-        transit_add: Tuple[int, int],
+        ``tasks`` are the loads the nodes hold while ``batch`` tasks travel to
+        ``destination`` at exponential rate ``rate`` (``None``: the system's
+        delay model).  One no-transit table, sized once, covers every
+        post-arrival load; transfers that share a main table solve it once.
+        Returns shape ``(len(transfers), n_states)``.
+        """
+        adds = [
+            (batch if destination == 0 else 0, batch if destination == 1 else 0)
+            for _, batch, destination, _ in transfers
+        ]
+        posts = [
+            (tasks[0] + add[0], tasks[1] + add[1])
+            for (tasks, _, _, _), add in zip(transfers, adds)
+        ]
+        hat = self._hat_table(states, np.max(posts, axis=0))
+        means = np.empty((len(transfers), len(states)))
+        tables: Dict[Tuple[int, int, int, int, float], List[int]] = {}
+        for row, ((tasks, batch, destination, rate), add, post) in enumerate(
+            zip(transfers, adds, posts)
+        ):
+            if batch == 0:
+                means[row] = hat[:, tasks[0], tasks[1]]
+                continue
+            if rate is None:
+                rate = self.params.transfer_rate(1 - destination, destination, batch)
+            if not np.isfinite(rate):
+                # Instantaneous transfer: the batch is effectively already there.
+                means[row] = hat[:, post[0], post[1]]
+                continue
+            key = (int(tasks[0]), int(tasks[1]), add[0], add[1], float(rate))
+            tables.setdefault(key, []).append(row)
+        if tables:
+            if self.method == "reference":
+                solved = [
+                    self._solve_table_reference(
+                        states, (r0, r1), rate, hat, (a0, a1)
+                    )[:, r0, r1]
+                    for r0, r1, a0, a1, rate in tables
+                ]
+            else:
+                solved = self._solve_main_tables(states, list(tables), hat)
+            for rows, value in zip(tables.values(), solved):
+                means[rows] = value
+        return means
+
+    def _solve_hat_vectorized(
+        self, states: Tuple[WorkState, ...], shape: Sequence[int]
     ) -> np.ndarray:
-        n_states = len(states)
+        """The no-transit table ``µ̂`` over loads up to ``shape``, diagonal by diagonal."""
         R0, R1 = int(shape[0]), int(shape[1])
-        table = np.full((n_states, R0 + 1, R1 + 1), np.nan)
-        base, svc0, svc1 = exit_rate_components(states, self._rates, transit_rate)
-        is_hat = hat_table is None
+        table = np.full((len(states), R0 + 1, R1 + 1), np.nan)
+        base, svc0, svc1 = exit_rate_components(states, self._rates, 0.0)
+        rate_matrix = work_state_rate_matrix(states, self.params)
+        table[:, 0, 0] = 0.0  # absorbing: nothing left to execute
+        # prev[r0 + 1] holds µ̂ at (r0, d - 1 - r0), as in _solve_main_tables;
+        # its zero start is diagonal 0, the absorbing cell.
+        prev = np.zeros((R0 + 2, len(states)))
 
-        for diag in range(R0 + R1 + 1):
+        for diag in range(1, R0 + R1 + 1):
             r0 = np.arange(max(0, diag - R1), min(diag, R0) + 1)
             r1 = diag - r0
-            if is_hat and diag == 0:
-                table[:, 0, 0] = 0.0  # absorbing: nothing left to execute
-                continue
-
             ind0 = (r0 > 0).astype(float)[:, None]  # (cells, 1)
             ind1 = (r1 > 0).astype(float)[:, None]
-            lam = base[None, :] + ind0 * svc0[None, :] + ind1 * svc1[None, :]
-
-            rhs = 1.0 / lam
-            if np.any(r0 > 0):
-                prev0 = np.zeros_like(lam)
-                mask = r0 > 0
-                prev0[mask] = table[:, r0[mask] - 1, r1[mask]].T
-                rhs = rhs + (svc0[None, :] * ind0 / lam) * prev0
-            if np.any(r1 > 0):
-                prev1 = np.zeros_like(lam)
-                mask = r1 > 0
-                prev1[mask] = table[:, r0[mask], r1[mask] - 1].T
-                rhs = rhs + (svc1[None, :] * ind1 / lam) * prev1
-            if not is_hat and transit_rate > 0:
-                hat_vals = hat_table[:, r0 + transit_add[0], r1 + transit_add[1]].T
-                rhs = rhs + (transit_rate / lam) * hat_vals
-
-            matrices = batched_coupling_systems(states, self.params, lam)
-            solution = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
-            table[:, r0, r1] = solution.T
+            lam = base + ind0 * svc0 + ind1 * svc1
+            matrices = batched_coupling_systems(rate_matrix, lam)
+            rhs = (
+                1.0 / lam
+                + (svc0 * ind0 / lam) * prev[r0]
+                + (svc1 * ind1 / lam) * prev[r0 + 1]
+            )
+            prev[r0 + 1] = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
+            table[:, r0, r1] = prev[r0 + 1].T
         return table
+
+    def _solve_main_tables(
+        self,
+        states: Tuple[WorkState, ...],
+        tables: Sequence[Tuple[int, int, int, int, float]],
+        hat: np.ndarray,
+    ) -> np.ndarray:
+        """``µ`` at the top cell of every main table, all in one sweep.
+
+        Table ``(R0, R1, a0, a1, rate)`` covers the loads ``r0 <= R0``,
+        ``r1 <= R1`` while a batch travels at ``rate``; on arrival the system
+        moves to cell ``(r0 + a0, r1 + a1)`` of the no-transit table ``hat``.
+        On each anti-diagonal the cells of every table form one stacked
+        system.  A cell needs only its two neighbours on the previous
+        diagonal, so that diagonal is all that is kept.  Every cell's
+        arithmetic is the per-table recursion's, and the stacked systems are
+        solved independently, so each result is exactly the one-table value.
+        Returns shape ``(len(tables), n_states)``.
+        """
+        spec = np.array([table[:4] for table in tables], dtype=int)
+        shape, add = spec[:, :2], spec[:, 2:]
+        rate = np.array([table[4] for table in tables])
+        # Per-table exit rates, summed in exit_rate_components' order.
+        base = np.array([exit_rate_components(states, self._rates, r)[0] for r in rate])
+        _, svc0, svc1 = exit_rate_components(states, self._rates, 0.0)
+        rate_matrix = work_state_rate_matrix(states, self.params)
+        hat_cells = np.moveaxis(hat, 0, -1)  # (H0+1, H1+1, n_states)
+        columns = np.arange(shape[:, 0].max() + 1)
+        # prev[g, r0 + 1] holds table g's µ at (r0, d - 1 - r0); prev[g, 0]
+        # stays 0 as the missing left neighbour of the r0 = 0 cells, and the
+        # column a new r1 = 0 cell reads has never been written.
+        prev = np.zeros((len(tables), columns.size + 1, len(states)))
+
+        for diag in range(int(shape.sum(axis=1).max()) + 1):
+            lo = np.maximum(diag - shape[:, 1], 0)
+            hi = np.minimum(shape[:, 0], diag)
+            g, r0 = np.nonzero((columns >= lo[:, None]) & (columns <= hi[:, None]))
+            r1 = diag - r0
+            ind0 = (r0 > 0).astype(float)[:, None]  # (cells, 1)
+            ind1 = (r1 > 0).astype(float)[:, None]
+            lam = base[g] + ind0 * svc0 + ind1 * svc1
+            matrices = batched_coupling_systems(rate_matrix, lam)
+            rhs = (
+                1.0 / lam
+                + (svc0 * ind0 / lam) * prev[g, r0]
+                + (svc1 * ind1 / lam) * prev[g, r0 + 1]
+                + (rate[g][:, None] / lam) * hat_cells[r0 + add[g, 0], r1 + add[g, 1]]
+            )
+            prev[g, r0 + 1] = np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
+        return prev[np.arange(len(tables)), shape[:, 0] + 1]
 
     def _solve_table_reference(
         self,
@@ -408,6 +468,26 @@ def _resolve_pair(
     if sender not in (0, 1) or receiver not in (0, 1):
         raise IndexError("node indices must be 0 or 1 for a two-node system")
     return sender, receiver
+
+
+def lbp1_transfers(
+    loads: Sequence[int],
+    gains: Sequence[float],
+    sender: Optional[int] = None,
+    receiver: Optional[int] = None,
+) -> List[Transfer]:
+    """LBP-1's transfer of ``L = round(K m_sender)`` tasks for every gain ``K``.
+
+    Without a sender/receiver pair, the more loaded node sends.
+    """
+    for gain in gains:
+        if not 0.0 <= gain <= 1.0:
+            raise ValueError(f"gain must lie in [0, 1], got {gain!r}")
+    sender, receiver = _resolve_pair(loads, sender, receiver)
+    return [
+        Transfer(sender, receiver, min(int(round(gain * loads[sender])), loads[sender]))
+        for gain in gains
+    ]
 
 
 def expected_completion_time(

@@ -19,9 +19,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.completion_time import CompletionTimeSolver
+from repro.core.completion_time import CompletionTimeSolver, lbp1_transfers
 from repro.core.nofailure import no_failure_solver
 from repro.core.parameters import SystemParameters, validate_workload
+from repro.core.policies.base import Transfer
 from repro.core.policies.excess import excess_loads, partition_fractions
 from repro.core.policies.lbp1 import LBP1
 from repro.core.policies.lbp2 import LBP2
@@ -71,16 +72,6 @@ class GainOptimizationResult:
         return int(round(self.optimal_gain * self.workload[self.sender]))
 
 
-def _sweep_pair(
-    solver: CompletionTimeSolver,
-    workload: Tuple[int, ...],
-    gains: np.ndarray,
-    sender: int,
-    receiver: int,
-) -> np.ndarray:
-    return solver.gain_sweep(workload, gains, sender=sender, receiver=receiver)
-
-
 def optimal_gain_lbp1(
     params: SystemParameters,
     workload: Sequence[int],
@@ -108,10 +99,12 @@ def optimal_gain_lbp1(
         pairs = [(sender, receiver)]
     else:
         pairs = [(0, 1), (1, 0)]
+    # Every pair's grid in one sweep over one no-transit table.
+    transfers = [t for snd, rcv in pairs for t in lbp1_transfers(loads, grid, snd, rcv)]
+    sweeps = solver.transfer_sweep(loads, transfers).reshape(len(pairs), grid.size)
 
     best: Optional[GainOptimizationResult] = None
-    for snd, rcv in pairs:
-        means = _sweep_pair(solver, loads, grid, snd, rcv)
+    for (snd, rcv), means in zip(pairs, sweeps):
         idx = int(np.argmin(means))
         candidate = GainOptimizationResult(
             optimal_gain=float(grid[idx]),
@@ -173,18 +166,11 @@ def optimal_gain_lbp2_initial(
     excess = excesses[sender]
     fraction = partition_fractions(loads, params, sender)[receiver]
 
-    solver = no_failure_solver(params, method=method)
-    means = []
-    for gain in grid:
-        batch = min(int(round(gain * fraction * excess)), loads[sender])
-        remaining = list(loads)
-        remaining[sender] -= batch
-        means.append(
-            solver.mean_completion_time(
-                tasks=remaining, in_transit=batch, destination=receiver
-            )
-        )
-    means_arr = np.asarray(means)
+    transfers = [
+        Transfer(sender, receiver, min(int(round(gain * fraction * excess)), loads[sender]))
+        for gain in grid
+    ]
+    means_arr = no_failure_solver(params, method=method).transfer_sweep(loads, transfers)
     idx = int(np.argmin(means_arr))
     return GainOptimizationResult(
         optimal_gain=float(grid[idx]),

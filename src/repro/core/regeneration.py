@@ -113,20 +113,22 @@ def coupling_system(
 
 
 def batched_coupling_systems(
-    states: Sequence[WorkState],
-    params: SystemParameters,
+    rate_matrix: np.ndarray,
     exit_rates: np.ndarray,
 ) -> np.ndarray:
     """Stack of coupling matrices for a batch of load pairs.
 
-    ``exit_rates`` has shape ``(n_cells, n_states)``; the result has shape
-    ``(n_cells, n_states, n_states)`` and can be fed to
+    ``rate_matrix`` is the failure/recovery matrix ``F`` of
+    :func:`repro.core.state.work_state_rate_matrix` (built once per table by
+    the caller); ``exit_rates`` has shape ``(n_cells, n_states)``.  The
+    result has shape ``(n_cells, n_states, n_states)`` and can be fed to
     :func:`numpy.linalg.solve` in one call.
     """
+    n_states = rate_matrix.shape[0]
     exit_rates = np.asarray(exit_rates, dtype=float)
-    if exit_rates.ndim != 2 or exit_rates.shape[1] != len(states):
+    if exit_rates.ndim != 2 or exit_rates.shape[1] != n_states:
         raise ValueError(
-            f"exit_rates must have shape (n_cells, {len(states)}), "
+            f"exit_rates must have shape (n_cells, {n_states}), "
             f"got {exit_rates.shape}"
         )
     if np.any(exit_rates <= 0):
@@ -134,6 +136,5 @@ def batched_coupling_systems(
             "every non-absorbing state must have a positive exit rate; "
             "the workload cannot complete under these parameters"
         )
-    rate_matrix = work_state_rate_matrix(states, params)
-    identity = np.eye(len(states))
+    identity = np.eye(n_states)
     return identity[None, :, :] - rate_matrix[None, :, :] / exit_rates[:, :, None]

@@ -10,12 +10,16 @@ from repro.core.completion_time import (
     expected_completion_time,
     expected_completion_time_lbp1,
 )
+from repro.core.nofailure import no_failure_solver
+from repro.core.optimize import optimal_gain_lbp1, optimal_gain_lbp2_initial
 from repro.core.parameters import (
     NodeParameters,
     SystemParameters,
     TransferDelayModel,
     paper_parameters,
 )
+from repro.core.policies.base import Transfer
+from repro.core.policies.excess import excess_loads, partition_fractions
 
 
 class TestValidation:
@@ -31,6 +35,8 @@ class TestValidation:
         solver = CompletionTimeSolver(paper_params)
         with pytest.raises(ValueError):
             solver.lbp1((10, 10), 1.5)
+        with pytest.raises(ValueError, match=r"gain must lie in \[0, 1\]"):
+            solver.gain_sweep((10, 10), [0.5, 1.5])
 
     def test_negative_transit_rejected(self, paper_params):
         solver = CompletionTimeSolver(paper_params)
@@ -41,6 +47,21 @@ class TestValidation:
         solver = CompletionTimeSolver(paper_params)
         with pytest.raises(IndexError):
             solver.mean_completion_time((10, 10), in_transit=5, destination=3)
+
+    @pytest.mark.parametrize("method", ["vectorized", "reference"])
+    def test_non_positive_exit_rate_rejected(self, no_failure_params, method):
+        """A configuration with no way out cannot complete: the solve refuses."""
+        solver = CompletionTimeSolver(no_failure_params, method=method)
+        # Node 0 starts down and never recovers: its tasks never run.
+        with pytest.raises(ValueError, match="cannot complete"):
+            solver.mean_completion_time((3, 2), initial_state=(0, 1))
+        # A batch that never arrives leaves the empty main cell no event.
+        with pytest.raises(ValueError, match="cannot complete"):
+            solver.mean_completion_time(
+                (3, 2), in_transit=4, destination=1, transit_rate=0.0
+            )
+        with pytest.raises(ValueError, match="cannot complete"):
+            solver.transfer_sweep((7, 2), [Transfer(0, 1, 4)], initial_state=(0, 1))
 
     def test_invalid_sender_receiver_combinations(self, paper_params):
         solver = CompletionTimeSolver(paper_params)
@@ -139,6 +160,62 @@ class TestSolverEquivalence:
             )
 
 
+class TestGainGridSweep:
+    """A gain grid is one anti-diagonal sweep over every gain's main table."""
+
+    def test_lbp2_initial_means_match_per_gain_solves(self, paper_params):
+        loads = (100, 60)
+        result = optimal_gain_lbp2_initial(paper_params, loads)
+        sender, receiver = result.sender, result.receiver
+        excess = excess_loads(loads, paper_params)[sender]
+        fraction = partition_fractions(loads, paper_params, sender)[receiver]
+        expected = []
+        for gain in result.gains:
+            batch = min(int(round(gain * fraction * excess)), loads[sender])
+            remaining = list(loads)
+            remaining[sender] -= batch
+            expected.append(
+                no_failure_solver(paper_params).mean_completion_time(
+                    remaining, in_transit=batch, destination=receiver
+                )
+            )
+        assert np.array_equal(result.means, expected)
+
+    @pytest.mark.parametrize("method,rel", [("reference", 1e-10), ("ctmc", 1e-8)])
+    def test_sweep_matches_one_gain_at_a_time_oracles(self, paper_params, method, rel):
+        gains = [0.0, 0.25, 0.5, 0.75, 1.0]
+        vectorized = CompletionTimeSolver(paper_params).gain_sweep(
+            (24, 14), gains, sender=0, receiver=1
+        )
+        oracle = CompletionTimeSolver(paper_params, method=method).gain_sweep(
+            (24, 14), gains, sender=0, receiver=1
+        )
+        assert vectorized == pytest.approx(oracle, rel=rel)
+
+    def test_empty_grid_returns_empty_array(self, paper_params):
+        means = CompletionTimeSolver(paper_params).gain_sweep((10, 10), [])
+        assert isinstance(means, np.ndarray) and means.shape == (0,)
+
+    def test_both_pairs_share_one_hat_table(self, paper_params, monkeypatch):
+        """The optimiser sizes the no-transit table once, for both senders."""
+        solver = CompletionTimeSolver(paper_params)
+        solve_hat = solver._solve_hat_vectorized
+        shapes = []
+
+        def recording(states, shape):
+            shapes.append(tuple(int(n) for n in shape))
+            return solve_hat(states, shape)
+
+        monkeypatch.setattr(solver, "_solve_hat_vectorized", recording)
+        optimal_gain_lbp1(paper_params, (30, 20), solver=solver)
+        assert shapes == [(50, 50)]
+
+    def test_batch_outside_the_senders_load_rejected(self, paper_params):
+        solver = CompletionTimeSolver(paper_params)
+        with pytest.raises(ValueError, match="node 1 holds 3 tasks, cannot send 4"):
+            solver.transfer_sweep((5, 3), [Transfer(1, 0, 4)])
+
+
 class TestPaperHeadlineNumbers:
     def test_fig3_optimal_gain_with_failure(self, paper_params):
         solver = CompletionTimeSolver(paper_params)
@@ -206,14 +283,24 @@ class TestStructuralProperties:
         assert prediction.batch_size == 35
         assert prediction.workload == (100, 60)
 
-    def test_gain_sweep_matches_individual_calls(self, paper_params):
-        solver = CompletionTimeSolver(paper_params)
-        gains = [0.1, 0.5, 0.9]
-        sweep = solver.gain_sweep((40, 20), gains, sender=0, receiver=1)
-        individual = [
-            solver.lbp1((40, 20), gain, sender=0, receiver=1).mean for gain in gains
-        ]
-        assert np.allclose(sweep, individual)
+    def test_gain_sweep_matches_individual_calls(self, paper_params, no_failure_params):
+        """One stacked sweep gives each gain's own solve exactly."""
+        # Gain 0 reads the no-transit table; 0.1 and 0.11 round to the same
+        # batch for either sender; zero delay reads the post-arrival load.
+        gains = [0.0, 0.1, 0.11, 0.5, 0.9, 1.0]
+        systems = (paper_params, no_failure_params, paper_params.with_delay_per_task(0.0))
+        for params in systems:
+            for sender, receiver in ((0, 1), (1, 0)):
+                sweep = CompletionTimeSolver(params).gain_sweep(
+                    (40, 20), gains, sender=sender, receiver=receiver
+                )
+                individual = [
+                    CompletionTimeSolver(params)
+                    .lbp1((40, 20), gain, sender=sender, receiver=receiver)
+                    .mean
+                    for gain in gains
+                ]
+                assert np.array_equal(sweep, individual)
 
     def test_hat_cache_reused_across_calls(self, paper_params):
         solver = CompletionTimeSolver(paper_params)

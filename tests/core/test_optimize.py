@@ -13,6 +13,7 @@ from repro.core.optimize import (
     optimal_lbp2_policy,
 )
 from repro.core.policies import LBP1, LBP2
+from repro.scenarios import registry
 
 
 class TestGainGrid:
@@ -128,3 +129,36 @@ class TestPolicyFactories:
         policy, result = optimal_lbp2_policy(paper_params, (100, 60))
         assert isinstance(policy, LBP2)
         assert policy.gain == result.optimal_gain
+
+
+class TestDelaySweepOptimum:
+    """Pinned optimiser outputs of the seven ``delay-sweep`` points.
+
+    They become each point's cached ``lbp1_gain``, ``lbp1_theory`` and
+    ``lbp2_initial_gain`` scalars, which the scenario content hash does not
+    cover.  Gains and the sender are exact; the mean allows for another
+    LAPACK build or CPU.
+    """
+
+    @pytest.mark.parametrize(
+        "delay,lbp1_gain,lbp1_mean,lbp2_gain",
+        [
+            (0.01, 0.35, 116.74907081578613, 1.0),
+            (0.1, 0.35, 116.74919258945893, 1.0),
+            (0.5, 0.35, 117.69096332660969, 0.95),
+            (1, 0.25, 121.00889563713504, 0.75),
+            (2, 0.15, 127.71404456653825, 0.4),
+            (3, 0.1, 131.7688082149528, 0.25),
+            (5, 0.05, 136.02172194561803, 0.15),
+        ],
+    )
+    def test_point_optimum(self, delay, lbp1_gain, lbp1_mean, lbp2_gain):
+        spec = registry.resolve(f"delay-sweep/d={delay:g}")
+        params = spec.system.to_parameters()
+        grid = default_gain_grid()
+        lbp1 = optimal_gain_lbp1(params, spec.workload)
+        assert lbp1.optimal_gain == grid[round(lbp1_gain / 0.05)]
+        assert (lbp1.sender, lbp1.receiver) == (0, 1)
+        assert lbp1.optimal_mean == pytest.approx(lbp1_mean, rel=1e-12)
+        lbp2 = optimal_gain_lbp2_initial(params, spec.workload)
+        assert lbp2.optimal_gain == grid[round(lbp2_gain / 0.05)]

@@ -9,7 +9,7 @@ from repro.core.regeneration import (
     coupling_system,
     exit_rate_components,
 )
-from repro.core.state import all_work_states
+from repro.core.state import all_work_states, work_state_rate_matrix
 
 
 class TestTwoNodeRates:
@@ -106,7 +106,7 @@ class TestCouplingSystems:
         lam_no0 = base + svc1
 
         batch = batched_coupling_systems(
-            states, paper_params, np.vstack([lam_full, lam_no0])
+            work_state_rate_matrix(states, paper_params), np.vstack([lam_full, lam_no0])
         )
         assert np.allclose(batch[0], coupling_system(states, paper_params, lam_full))
         assert np.allclose(batch[1], coupling_system(states, paper_params, lam_no0))
@@ -114,7 +114,9 @@ class TestCouplingSystems:
     def test_batched_shape_validation(self, paper_params):
         states = all_work_states(2)
         with pytest.raises(ValueError):
-            batched_coupling_systems(states, paper_params, np.ones((3, 2)))
+            batched_coupling_systems(
+                work_state_rate_matrix(states, paper_params), np.ones((3, 2))
+            )
 
     def test_coupling_matrix_is_diagonally_dominant(self, paper_params):
         """|A_ss| >= Σ_{s'≠s} |A_ss'| guarantees solvability of eq. (4)."""
