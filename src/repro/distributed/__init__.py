@@ -45,7 +45,6 @@ _EXPORTS = {
         "shard_plan_key",
     ),
     "repro.distributed.scheduler": (
-        "ASSIGNMENT_POLICIES",
         "ShardExecutionError",
         "ShardScheduler",
     ),

@@ -74,11 +74,6 @@ class ShardExecutor(ABC):
     #: one batched claim round-trip can hand a worker several shards.
     slot_depth: int = 1
 
-    #: Prior estimate of one dispatch round-trip's overhead in seconds
-    #: (everything but the compute), used by the engine's adaptive planner
-    #: until it has measured the real thing.
-    round_trip_hint: float = 0.0
-
     #: Persistent executors outlive a single engine run — the engine never
     #: closes them, even when it resolved them itself (see
     #: :func:`shared_process_executor`).
@@ -167,7 +162,6 @@ class ProcessShardExecutor(ShardExecutor):
     """
 
     name = "process"
-    round_trip_hint = 0.005
 
     def __init__(self, workers: int, persistent: bool = False) -> None:
         if workers < 1:

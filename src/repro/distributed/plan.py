@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -98,22 +98,23 @@ def plan_blocks(num_realisations: int, block_size: int) -> Tuple[SeedBlock, ...]
     )
 
 
-def plan_shards(
-    blocks: Sequence[SeedBlock], num_shards: int, start_index: int = 0
-) -> Tuple[Shard, ...]:
+#: Shards cut per executor slot when no shard count is pinned: enough
+#: surplus for the least-loaded scheduler to steer around a slow slot,
+#: without one dispatch per block.
+SHARDS_PER_SLOT = 4
+
+
+def plan_shards(blocks: Sequence[SeedBlock], num_shards: int) -> Tuple[Shard, ...]:
     """Group ``blocks`` into at most ``num_shards`` contiguous, even shards.
 
     The shard count is capped at the block count (a shard with no work is
     pointless) and the first ``len(blocks) % shards`` shards take one extra
-    block, so shard sizes differ by at most one block.  ``start_index``
-    offsets the shard indices — the adaptive planner dispatches a probe
-    wave and a main wave through one scheduler, and shard indices must stay
-    unique across both.
+    block, so shard sizes differ by at most one block.  Grouping never
+    touches a block's identity or seed stream, so every shard count merges
+    to the same sample.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards!r}")
-    if start_index < 0:
-        raise ValueError(f"start_index must be >= 0, got {start_index!r}")
     blocks = tuple(blocks)
     if not blocks:
         return ()
@@ -123,76 +124,9 @@ def plan_shards(
     cursor = 0
     for index in range(num_shards):
         take = base + (1 if index < extra else 0)
-        shards.append(
-            Shard(
-                index=start_index + index,
-                blocks=blocks[cursor : cursor + take],
-            )
-        )
+        shards.append(Shard(index=index, blocks=blocks[cursor : cursor + take]))
         cursor += take
     return tuple(shards)
-
-
-#: Target ratio of a shard's compute time to one dispatch round-trip's
-#: overhead: a dispatch should amortize ≥ ~20× what it costs.
-DEFAULT_AMORTIZATION = 20.0
-
-#: Shards offered per executor slot when cost information cannot bound the
-#: count — enough surplus for the least-loaded policy to rebalance around
-#: a slow slot, without a per-block dispatch storm.
-DEFAULT_OVERSUBSCRIPTION = 4
-
-
-def adaptive_shard_count(
-    num_blocks: int,
-    slots: int,
-    block_seconds: Optional[float] = None,
-    round_trip_seconds: Optional[float] = None,
-    amortization: float = DEFAULT_AMORTIZATION,
-    oversubscription: int = DEFAULT_OVERSUBSCRIPTION,
-) -> int:
-    """How many shards to cut ``num_blocks`` blocks into.
-
-    Balances two pressures measured by the engine's calibration:
-
-    * **parallelism / balance** — aim for ``slots × oversubscription``
-      shards so every slot works and the least-loaded policy can steer
-      around slow slots;
-    * **amortization** — with a measured per-block compute cost and a
-      per-dispatch round-trip overhead, cap the shard count so each
-      dispatch computes at least ``amortization ×`` its own overhead
-      (``total_compute / (amortization × round_trip)`` shards).
-
-    Amortization yields to parallelism: the count never drops below
-    ``min(slots, num_blocks)`` — idling a slot to save round-trips can
-    never beat using it.  The result is always in ``[1, num_blocks]``.
-    Sizing only regroups blocks; block identities (and therefore the
-    ``BLOCK_SPAWN_TAG`` seed streams) are untouched by construction.
-    """
-    if num_blocks < 0:
-        raise ValueError(f"num_blocks must be >= 0, got {num_blocks!r}")
-    if num_blocks == 0:
-        return 1
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots!r}")
-    if amortization <= 0:
-        raise ValueError(f"amortization must be > 0, got {amortization!r}")
-    if oversubscription < 1:
-        raise ValueError(
-            f"oversubscription must be >= 1, got {oversubscription!r}"
-        )
-    target = slots * oversubscription
-    if (
-        block_seconds is not None
-        and round_trip_seconds is not None
-        and block_seconds > 0
-        and round_trip_seconds > 0
-    ):
-        total_compute = num_blocks * block_seconds
-        amortized_cap = int(total_compute / (amortization * round_trip_seconds))
-        target = min(target, amortized_cap)
-    target = max(target, min(slots, num_blocks))
-    return max(1, min(target, num_blocks))
 
 
 def block_seed(master: "SeedLike", index: int) -> "np.random.SeedSequence":

@@ -2,13 +2,10 @@
 
 The scheduler is a deliberate echo of the paper's subject: shards are the
 stochastic workload, executor slots are the (possibly unreliable, possibly
-slow) nodes, and the assignment policy balances load across them.  Two
-policies ship:
-
-* ``least-loaded`` (default) — assign the next shard to the free slot that
-  has completed the least work so far, i.e. *join the shortest queue*; a
-  slow or flaky worker naturally receives less work.
-* ``round-robin`` — rotate through the free slots regardless of history.
+slow) nodes, and one policy balances load across them, *least-loaded*: the
+next shard goes to the free slot with the fewest items in flight, then the
+least work completed so far, i.e. *join the shortest queue*; a slow or
+flaky worker naturally receives less work.
 
 Fault tolerance is by reassignment: a shard whose attempt fails (worker
 exception, worker death, or ``shard_timeout`` expiry) is requeued with the
@@ -30,9 +27,6 @@ from repro.obs import propagate, trace
 from repro.obs.metrics import REGISTRY
 
 logger = logging.getLogger(__name__)
-
-#: Assignment policies the scheduler understands.
-ASSIGNMENT_POLICIES = ("least-loaded", "round-robin")
 
 _DISPATCHES = REGISTRY.counter(
     "repro_scheduler_dispatch_total",
@@ -105,7 +99,6 @@ class ShardScheduler:
     def __init__(
         self,
         executor: ShardExecutor,
-        assignment: str = "least-loaded",
         max_attempts: int = 3,
         shard_timeout: Optional[float] = None,
         slot_wait: float = 60.0,
@@ -113,15 +106,9 @@ class ShardScheduler:
         on_event: Optional[SchedulerEvent] = None,
         on_result: Optional[Callable[[int, Dict[str, Any]], None]] = None,
     ) -> None:
-        if assignment not in ASSIGNMENT_POLICIES:
-            raise ValueError(
-                f"unknown assignment policy {assignment!r}; known: "
-                f"{', '.join(ASSIGNMENT_POLICIES)}"
-            )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts!r}")
         self.executor = executor
-        self.assignment = assignment
         self.max_attempts = max_attempts
         self.shard_timeout = shard_timeout
         self.slot_wait = slot_wait
@@ -142,7 +129,6 @@ class ShardScheduler:
         #: the honest divisor when converting summed per-shard seconds to
         #: wall-equivalent seconds.
         self.peak_in_flight = 0
-        self._round_robin = 0
         #: Metrics label: which executor kind this scheduler drives.
         self._executor_label = type(executor).__name__
 
@@ -160,7 +146,7 @@ class ShardScheduler:
         state: _ShardState,
         load: Dict[str, int],
     ) -> Optional[str]:
-        """A free slot for ``state`` under the configured policy.
+        """The least-loaded free slot for ``state``.
 
         Slots that already failed this shard are avoided whenever any other
         slot is free (on the last resort a failed slot is reused — better
@@ -171,12 +157,8 @@ class ShardScheduler:
         candidates = [s for s in free if s not in state.failed_slots] or free
         if not candidates:
             return None
-        if self.assignment == "round-robin":
-            slot = candidates[self._round_robin % len(candidates)]
-            self._round_robin += 1
-            return slot
-        # least-loaded: join the shortest queue — fewest items in flight,
-        # then least completed work, with a stable tie-break by name.
+        # Join the shortest queue: fewest items in flight, then least
+        # completed work, with a stable tie-break by name.
         return min(
             candidates,
             key=lambda s: (load.get(s, 0), self.slot_completed.get(s, 0), s),

@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from statistics import median
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.distributed.executors import ShardExecutor, resolve_executor
 from repro.distributed.plan import (
-    DEFAULT_AMORTIZATION,
+    SHARDS_PER_SLOT,
     SeedBlock,
-    adaptive_shard_count,
     block_key,
     plan_blocks,
     plan_shards,
@@ -111,17 +110,13 @@ class EngineRequest:
         plain :class:`concurrent.futures.Executor` to share.  Instances
         are left open; named executors are closed after the run.
     shards:
-        Work items to dispatch.  ``None`` defaults to the spec's shard
-        count when one is pinned (``spec.shards >= 1``), and otherwise to
-        *adaptive sizing*: the planner calibrates the per-block compute
-        cost (from the shard store's recorded ``wall_seconds``, or by
-        dispatching a small probe wave of single-block shards) and groups
-        the remaining blocks so each dispatch amortizes at least
-        ``amortization ×`` its measured round-trip overhead.  Sizing only
-        regroups blocks — the sample is identical either way.
-    amortization:
-        Target compute-to-overhead ratio per dispatch for adaptive sizing
-        (ignored when a shard count is pinned).
+        Work items to dispatch; any int pins the count (as ``max(1, n)``).
+        ``None`` defaults to the spec's shard count when one is pinned
+        (``spec.shards >= 1``), and otherwise cuts the missing blocks into
+        :data:`~repro.distributed.plan.SHARDS_PER_SLOT` shards per
+        executor slot (at least one slot).  Either way the count is capped
+        at the missing block count, and grouping only regroups blocks —
+        the sample is identical for every count.
     block_size:
         Realisations per seed block (ad-hoc runs only; spec runs use
         ``spec.shard_block``).  Part of the sample's identity.
@@ -146,11 +141,9 @@ class EngineRequest:
     workers: Optional[int] = None
     store: Optional["ShardStore"] = None
     refresh: bool = False
-    assignment: str = "least-loaded"
     max_attempts: int = 3
     shard_timeout: Optional[float] = None
     slot_wait: float = 60.0
-    amortization: float = DEFAULT_AMORTIZATION
     on_event: Optional[Callable[[Dict[str, Any]], None]] = None
 
 
@@ -177,11 +170,6 @@ class EngineReport:
     #: concurrently in-flight shards, so ``plan + wire + deserialize +
     #: compute + dispatch + idle + merge`` ≈ the run's wall clock.
     attribution: Dict[str, float] = field(default_factory=dict)
-    #: Adaptive-sizing provenance (empty for pinned shard counts): the
-    #: calibrated per-block compute cost and per-dispatch round-trip
-    #: overhead, how many probe/main shards were dispatched and the
-    #: resulting blocks-per-shard grouping.
-    sizing: Dict[str, float] = field(default_factory=dict)
 
     @property
     def blocks_computed(self) -> int:
@@ -316,61 +304,14 @@ def run_engine(request: EngineRequest) -> EngineReport:
     num_shards = request.shards
     if num_shards is None and spec is not None and spec.shards >= 1:
         num_shards = spec.shards
-    # Nobody pinned a shard count: let the planner size dispatches from
-    # measured block/round-trip costs instead of one item per block.
-    adaptive = num_shards is None
     slot_completed: Dict[str, int] = {}
     # Mutable cell: absorb_shard (a closure invoked from the scheduler
     # loop) accumulates per-block backend compute time into it.
     compute_seconds = [0.0]
-    sizing: Dict[str, float] = {}
     shards_dispatched = 0
     executor_label: Optional[str] = None
     execute_started = perf_counter()
     if missing:
-        fixed_shards = (
-            None if adaptive else plan_shards(missing, max(1, num_shards))
-        )
-
-        if identity is not None:
-            spec_dict = identity.to_dict()
-            task_id = (plan_key or shard_plan_key(identity))[:16]
-
-            def make_items(shards) -> Dict[int, Dict[str, Any]]:
-                return {
-                    shard.index: make_work_item(
-                        item_id="",  # the scheduler stamps a fresh id per attempt
-                        task_id=task_id,
-                        shard_index=shard.index,
-                        spec_dict=spec_dict,
-                        blocks=list(shard.blocks),
-                        confidence_level=request.confidence_level,
-                    )
-                    for shard in shards
-                }
-        else:
-            payload = {
-                "params": request.params,
-                "policy": request.policy,
-                "workload": workload,
-                "seed": master_seed,
-                "backend": request.backend,
-                "horizon": request.horizon,
-                "system_kwargs": dict(request.system_kwargs),
-            }
-
-            def make_items(shards) -> Dict[int, Dict[str, Any]]:
-                return {
-                    shard.index: make_adhoc_item(
-                        item_id="",
-                        task_id="adhoc",
-                        shard_index=shard.index,
-                        payload=payload,
-                        blocks=list(shard.blocks),
-                        confidence_level=request.confidence_level,
-                    )
-                    for shard in shards
-                }
 
         def absorb_shard(shard_index: int, shard_result: Dict[str, Any]) -> None:
             # Merge and persist each shard the moment it completes, inside
@@ -391,20 +332,49 @@ def run_engine(request: EngineRequest) -> EngineReport:
                     )
                     store.put(block_key(plan_key, block), block_payload)
 
-        # The shard store's recorded per-block compute times calibrate
-        # adaptive sizing without a probe; snapshot them before dispatch
-        # (absorb_shard grows merged_blocks as results arrive).
-        cached_costs = [
-            float(payload["wall_seconds"])
-            for payload in merged_blocks.values()
-            if payload.get("wall_seconds")
-        ]
-
         resolved = resolve_executor(
             request.executor,
             workers=request.workers,
-            num_items=len(missing) if adaptive else len(fixed_shards),
+            num_items=(
+                len(missing)
+                if num_shards is None
+                else min(max(1, num_shards), len(missing))
+            ),
         )
+        if num_shards is None:
+            # Nobody pinned a count.  A worker board can have no live slot
+            # yet (workers register asynchronously), hence the one-slot floor.
+            num_shards = max(1, len(resolved.slots())) * SHARDS_PER_SLOT
+        shards = plan_shards(missing, max(1, num_shards))
+        if identity is not None:
+            make_item = partial(
+                make_work_item,
+                task_id=(plan_key or shard_plan_key(identity))[:16],
+                spec_dict=identity.to_dict(),
+            )
+        else:
+            make_item = partial(
+                make_adhoc_item,
+                task_id="adhoc",
+                payload={
+                    "params": request.params,
+                    "policy": request.policy,
+                    "workload": workload,
+                    "seed": master_seed,
+                    "backend": request.backend,
+                    "horizon": request.horizon,
+                    "system_kwargs": dict(request.system_kwargs),
+                },
+            )
+        items = {
+            shard.index: make_item(
+                item_id="",  # the scheduler stamps a fresh id per attempt
+                shard_index=shard.index,
+                blocks=list(shard.blocks),
+                confidence_level=request.confidence_level,
+            )
+            for shard in shards
+        }
         # Close only executors the engine resolved itself — never instances
         # the caller handed in, never the persistent shared warm pools.
         owns_executor = not isinstance(
@@ -413,7 +383,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
         executor_label = type(resolved).__name__
         scheduler = ShardScheduler(
             resolved,
-            assignment=request.assignment,
             max_attempts=request.max_attempts,
             shard_timeout=request.shard_timeout,
             slot_wait=request.slot_wait,
@@ -422,24 +391,10 @@ def run_engine(request: EngineRequest) -> EngineReport:
         )
         try:
             with trace.span(
-                "engine.execute",
-                shards=0 if adaptive else len(fixed_shards),
-                adaptive=adaptive,
-                executor=type(resolved).__name__,
+                "engine.execute", shards=len(shards), executor=executor_label
             ):
-                if fixed_shards is not None:
-                    scheduler.run(make_items(fixed_shards))
-                    shards_dispatched = len(fixed_shards)
-                else:
-                    shards_dispatched, sizing = _execute_adaptive(
-                        scheduler=scheduler,
-                        executor=resolved,
-                        missing=missing,
-                        make_items=make_items,
-                        merged_blocks=merged_blocks,
-                        cached_costs=cached_costs,
-                        amortization=request.amortization,
-                    )
+                scheduler.run(items)
+            shards_dispatched = len(shards)
         finally:
             if owns_executor:
                 resolved.close()
@@ -499,7 +454,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
             "merge_seconds": merge_seconds,
         },
         attribution=attribution,
-        sizing=sizing,
     )
     _record_run_history(
         report,
@@ -557,89 +511,6 @@ def _record_run_history(
         )
     except Exception:  # telemetry must never take the run down
         logger.debug("run-history recording failed", exc_info=True)
-
-
-def _execute_adaptive(
-    *,
-    scheduler: ShardScheduler,
-    executor: ShardExecutor,
-    missing: Sequence[SeedBlock],
-    make_items: Callable[[Sequence[Any]], Dict[int, Dict[str, Any]]],
-    merged_blocks: Dict[int, Dict[str, Any]],
-    cached_costs: Sequence[float],
-    amortization: float,
-) -> tuple:
-    """Size shards from measured costs; returns ``(dispatched, sizing)``.
-
-    Calibration sources, in order of preference:
-
-    1. per-block ``wall_seconds`` already in the shard store (a resumed or
-       grown run re-sizes its remaining blocks for free);
-    2. a *probe wave* — one single-block shard per slot, dispatched through
-       the same scheduler, whose results yield both the block compute cost
-       and the dispatch round-trip overhead (attribution round-trip minus
-       block compute);
-    3. the executor's static ``round_trip_hint`` when the probe cannot
-       measure overhead (e.g. all probes raced onto one slot).
-
-    The remaining blocks are then cut into
-    :func:`~repro.distributed.plan.adaptive_shard_count` shards.  Sizing
-    only regroups blocks — block seed streams and merged statistics are
-    untouched by construction.
-    """
-    depth = max(1, int(getattr(executor, "slot_depth", 1)))
-    slots = max(1, len(executor.slots()) * depth)
-    block_cost = median(cached_costs) if cached_costs else None
-    round_trip: Optional[float] = None
-    probe_shards: Sequence[Any] = ()
-    rest = tuple(missing)
-    if block_cost is None and len(missing) > slots:
-        probe_shards = plan_shards(rest[:slots], slots)
-        scheduler.run(make_items(probe_shards))
-        rest = rest[len(probe_shards) :]
-        probe_costs = []
-        overheads = []
-        for shard in probe_shards:
-            compute = 0.0
-            for block in shard.blocks:
-                payload = merged_blocks.get(block.index)
-                wall = payload.get("wall_seconds") if payload else None
-                if wall:
-                    probe_costs.append(float(wall))
-                    compute += float(wall)
-            record = scheduler.shard_attribution.get(shard.index)
-            if record and record.get("round_trip_seconds") is not None:
-                overheads.append(
-                    max(0.0, float(record["round_trip_seconds"]) - compute)
-                )
-        if probe_costs:
-            block_cost = median(probe_costs)
-        if overheads:
-            round_trip = median(overheads)
-    if round_trip is None:
-        hint = float(getattr(executor, "round_trip_hint", 0.0) or 0.0)
-        round_trip = hint if hint > 0 else None
-    main: Sequence[Any] = ()
-    if rest:
-        count = adaptive_shard_count(
-            len(rest),
-            slots,
-            block_seconds=block_cost,
-            round_trip_seconds=round_trip,
-            amortization=amortization,
-        )
-        main = plan_shards(rest, count, start_index=len(probe_shards))
-        scheduler.run(make_items(main))
-    sizing: Dict[str, float] = {
-        "slots": float(slots),
-        "probe_shards": float(len(probe_shards)),
-        "main_shards": float(len(main)),
-    }
-    if block_cost is not None:
-        sizing["block_seconds"] = float(block_cost)
-    if round_trip is not None:
-        sizing["round_trip_seconds"] = float(round_trip)
-    return len(probe_shards) + len(main), sizing
 
 
 def _attribution_ledger(

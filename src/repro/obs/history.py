@@ -22,9 +22,8 @@ schema-versioned JSON records under ``<cache>/history/``:
 Two record kinds share the ledger.  ``kind="run"`` records distill an
 :class:`~repro.montecarlo.engine.EngineReport` (spec hash, backend,
 executor, shard/cache counts, raw timings, the :data:`ATTRIBUTION_KEYS`
-ledger, sizing provenance, worker count, effective CPUs, package/git
-version); ``kind="bench"``
-records carry one benchmark timing each.  The regression sentinel
+ledger, worker count, effective CPUs, package/git version);
+``kind="bench"`` records carry one benchmark timing each.  The regression sentinel
 (:mod:`repro.obs.sentinel`) reads comparable records back to classify
 fresh runs as ok/warn/regressed.
 
@@ -433,7 +432,6 @@ def record_engine_run(
             "wall_seconds": float(report.wall_seconds),
             "timings": dict(report.timings),
             "attribution": dict(report.attribution),
-            "sizing": dict(report.sizing),
             "repro_version": __version__,
             "git_revision": git_revision(),
         }

@@ -157,9 +157,9 @@ class Orchestrator:
         Optional callback receiving scheduler progress events of sharded
         runs (the job queue streams them to NDJSON subscribers).
     shard_options:
-        Extra scheduler keywords for engine runs (``assignment``,
-        ``max_attempts``, ``shard_timeout``, ``slot_wait``), folded into
-        every :class:`~repro.montecarlo.engine.EngineRequest`.
+        Extra scheduler keywords for engine runs (``max_attempts``,
+        ``shard_timeout``, ``slot_wait``), folded into every
+        :class:`~repro.montecarlo.engine.EngineRequest`.
     """
 
     def __init__(

@@ -311,7 +311,6 @@ class BoardExecutor(ShardExecutor):
 
     name = "workers"
     transport = "json"  # items cross HTTP; only spec-described runs fit
-    round_trip_hint = 0.05
     slot_depth = DEFAULT_CLAIM_BATCH
 
     def __init__(self, board: ShardBoard) -> None:

@@ -1,14 +1,14 @@
-"""Property tests for the adaptive shard planner: exact block coverage,
-size bounds, cost monotonicity and seed-stream invariance — plus the
-engine-level guarantee that adaptive sizing never changes the merged
+"""Property tests for the unpinned shard count and the shard planner:
+exact block coverage, size bounds and seed-stream invariance under any
+shard count — plus the engine-level guarantee that a grown cached run
+plans its delta in one scheduler pass and merges to the serial
 statistics."""
 
 import numpy as np
 import pytest
 
 from repro.distributed.plan import (
-    DEFAULT_OVERSUBSCRIPTION,
-    adaptive_shard_count,
+    SHARDS_PER_SLOT,
     block_seed,
     plan_blocks,
     plan_shards,
@@ -20,106 +20,54 @@ def _cases():
     for _ in range(200):
         num_blocks = int(rng.integers(1, 400))
         slots = int(rng.integers(1, 33))
-        block_seconds = float(rng.uniform(1e-4, 2.0))
-        round_trip = float(rng.uniform(1e-4, 1.0))
-        yield num_blocks, slots, block_seconds, round_trip
+        # A pinned count may be anything >= 1, above the block count too.
+        count = int(rng.integers(1, num_blocks + 6))
+        yield num_blocks, slots, count
 
 
 class TestAdaptiveShardCount:
     def test_count_always_within_bounds(self):
-        for num_blocks, slots, block_seconds, round_trip in _cases():
-            count = adaptive_shard_count(
-                num_blocks, slots, block_seconds, round_trip
-            )
+        # The engine's unpinned rule: SHARDS_PER_SLOT shards per slot,
+        # capped at the block count by plan_shards.
+        for num_blocks, slots, _ in _cases():
+            blocks = plan_blocks(num_blocks * 10, 10)
+            count = len(plan_shards(blocks, slots * SHARDS_PER_SLOT))
             assert 1 <= count <= num_blocks
-            # Amortization yields to parallelism: never idle a slot that
-            # could hold a block.
+            # Never idle a slot that could hold a block.
             assert count >= min(slots, num_blocks)
-
-    def test_without_cost_estimates_targets_oversubscription(self):
-        assert adaptive_shard_count(1000, 4) == 4 * DEFAULT_OVERSUBSCRIPTION
-        assert adaptive_shard_count(3, 8) == 3  # capped at the block count
-
-    def test_monotone_in_round_trip_cost(self):
-        # Costlier dispatches can only push the planner toward fewer,
-        # larger shards — never more of them.
-        for num_blocks, slots, block_seconds, _ in _cases():
-            counts = [
-                adaptive_shard_count(num_blocks, slots, block_seconds, rt)
-                for rt in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-            ]
-            assert counts == sorted(counts, reverse=True)
-
-    def test_amortization_caps_chatty_dispatch(self):
-        # 100 blocks × 1ms compute against a 50ms round-trip: the cap
-        # (0.1s / (20 × 0.05s) = 0) floors at min(slots, blocks).
-        assert adaptive_shard_count(100, 2, 0.001, 0.05) == 2
-        # Same workload, negligible overhead: parallelism target wins.
-        assert adaptive_shard_count(100, 2, 0.001, 1e-6) == 8
-
-    def test_zero_blocks_is_one_shard(self):
-        assert adaptive_shard_count(0, 4) == 1
-
-    def test_rejects_malformed_inputs(self):
-        with pytest.raises(ValueError):
-            adaptive_shard_count(-1, 2)
-        with pytest.raises(ValueError):
-            adaptive_shard_count(10, 0)
-        with pytest.raises(ValueError):
-            adaptive_shard_count(10, 2, amortization=0)
-        with pytest.raises(ValueError):
-            adaptive_shard_count(10, 2, oversubscription=0)
 
 
 class TestPlanShardsUnderSizing:
     def test_every_block_covered_exactly_once(self):
-        for num_blocks, slots, block_seconds, round_trip in _cases():
-            blocks = plan_blocks(num_blocks * 10, 10)
-            count = adaptive_shard_count(
-                num_blocks, slots, block_seconds, round_trip
-            )
-            shards = plan_shards(blocks, count)
+        for num_blocks, _, count in _cases():
+            shards = plan_shards(plan_blocks(num_blocks * 10, 10), count)
+            assert len(shards) == min(count, num_blocks)
+            assert [s.index for s in shards] == list(range(len(shards)))
             covered = [b.index for shard in shards for b in shard.blocks]
-            assert sorted(covered) == list(range(num_blocks))
-            assert len(covered) == len(set(covered))
+            assert covered == list(range(num_blocks))
 
     def test_shard_sizes_differ_by_at_most_one(self):
-        for num_blocks, slots, block_seconds, round_trip in _cases():
-            blocks = plan_blocks(num_blocks * 10, 10)
-            count = adaptive_shard_count(
-                num_blocks, slots, block_seconds, round_trip
-            )
-            sizes = [len(s.blocks) for s in plan_shards(blocks, count)]
+        for num_blocks, _, count in _cases():
+            shards = plan_shards(plan_blocks(num_blocks * 10, 10), count)
+            sizes = [len(s.blocks) for s in shards]
             assert max(sizes) - min(sizes) <= 1
-
-    def test_start_index_keeps_probe_and_main_waves_disjoint(self):
-        blocks = plan_blocks(120, 10)
-        probe = plan_shards(blocks[:3], 3)
-        main = plan_shards(blocks[3:], 4, start_index=len(probe))
-        indices = [s.index for s in probe] + [s.index for s in main]
-        assert indices == list(range(len(indices)))
-        with pytest.raises(ValueError):
-            plan_shards(blocks, 2, start_index=-1)
 
     def test_block_seed_streams_invariant_under_regrouping(self):
         # The whole bit-identity argument: a block's seed stream depends
         # on the master seed and block index alone, so any shard count
-        # (probe waves included) replays identical randomness.
+        # replays identical randomness.
         blocks = plan_blocks(80, 10)
+        direct = [
+            np.random.default_rng(block_seed(777, block.index)).random(4)
+            for block in blocks
+        ]
         for count in (1, 3, 8):
-            shards = plan_shards(blocks, count)
-            for shard in shards:
-                for block in shard.blocks:
-                    direct = block_seed(777, block.index)
-                    assert direct.entropy == block_seed(777, block.index).entropy
-                    assert direct.spawn_key[-1] == block.index
-                    grouped_draw = np.random.default_rng(
-                        block_seed(777, block.index)
-                    ).random(4)
-                    reference_draw = np.random.default_rng(
-                        block_seed(777, block.index)
-                    ).random(4)
-                    assert np.array_equal(grouped_draw, reference_draw)
+            grouped = [
+                np.random.default_rng(block_seed(777, block.index)).random(4)
+                for shard in plan_shards(blocks, count)
+                for block in shard.blocks
+            ]
+            assert np.array_equal(np.stack(grouped), np.stack(direct))
 
 
 class TestEngineAdaptiveEquivalence:
@@ -136,52 +84,32 @@ class TestEngineAdaptiveEquivalence:
             block_size=6,
         )
 
-    def test_adaptive_equals_fixed_equals_serial(self, request_kwargs):
-        from repro.montecarlo.engine import EngineRequest, run_engine
-
-        adaptive = run_engine(EngineRequest(**request_kwargs))
-        for shards in (1, 2, 7):
-            fixed = run_engine(
-                EngineRequest(**request_kwargs, shards=shards, refresh=True)
-            )
-            assert fixed.stats.mean == adaptive.stats.mean
-            assert fixed.stats.variance == adaptive.stats.variance
-            assert np.array_equal(
-                fixed.estimate.completion_times,
-                adaptive.estimate.completion_times,
-            )
-
-    def test_sizing_provenance_is_recorded(self, request_kwargs):
-        from repro.montecarlo.engine import EngineRequest, run_engine
-
-        report = run_engine(EngineRequest(**request_kwargs))
-        # Inline executor, 8 blocks, no cache: a single-block probe wave
-        # calibrates compute and round-trip cost, then the main wave runs.
-        assert report.sizing["slots"] == 1.0
-        assert report.sizing["probe_shards"] == 1.0
-        assert report.sizing["main_shards"] >= 1.0
-        assert report.sizing["block_seconds"] > 0.0
-        assert report.shards_dispatched == int(
-            report.sizing["probe_shards"] + report.sizing["main_shards"]
-        )
-        fixed = run_engine(EngineRequest(**request_kwargs, shards=4, refresh=True))
-        assert fixed.sizing == {}
-        assert fixed.shards_dispatched == 4
-
     def test_cached_wall_seconds_calibrate_without_a_probe(
-        self, request_kwargs, tmp_path
+        self, request_kwargs, tmp_path, monkeypatch
     ):
+        from repro.distributed.scheduler import ShardScheduler
         from repro.distributed.store import ShardStore
         from repro.montecarlo.engine import EngineRequest, run_engine
 
         store = ShardStore(tmp_path / "store")
         first = run_engine(EngineRequest(**request_kwargs, store=store))
+        passes = []
+        original = ShardScheduler.run
+
+        def counting_run(scheduler, items):
+            passes.append(len(items))
+            return original(scheduler, items)
+
+        monkeypatch.setattr(ShardScheduler, "run", counting_run)
         grown = dict(request_kwargs, num_realisations=96)
         second = run_engine(EngineRequest(**grown, store=store))
-        # The grown run re-sizes its delta from the stored per-block costs:
-        # no probe wave, calibration straight from the cache.
-        assert second.blocks_cached == first.blocks_total
-        assert second.sizing["probe_shards"] == 0.0
-        assert second.sizing["block_seconds"] > 0.0
+        # The grown run reads its 8 old blocks from the cache and cuts
+        # the 8-block delta by the one-slot rule: no probe wave, a single
+        # pass of 4 shards, whose blocks record their own compute time.
+        assert second.blocks_cached == first.blocks_total == 8
+        assert passes == [SHARDS_PER_SLOT]
+        assert second.shards_dispatched == SHARDS_PER_SLOT
+        assert second.timings["block_compute_seconds"] > 0.0
         serial = run_engine(EngineRequest(**grown, shards=1, refresh=True))
         assert serial.stats.mean == second.stats.mean
+        assert serial.stats.variance == second.stats.variance

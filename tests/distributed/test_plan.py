@@ -64,6 +64,8 @@ class TestShardPartitioning:
         blocks = plan_blocks(8, 4)  # 2 blocks
         shards = plan_shards(blocks, 7)
         assert len(shards) == 2
+        with pytest.raises(ValueError):
+            plan_shards(blocks, 0)
 
     def test_one_shard_takes_everything(self):
         blocks = plan_blocks(20, 4)

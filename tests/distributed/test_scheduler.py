@@ -83,18 +83,6 @@ class TestAssignment:
         assert set(results) == set(range(9))
         assert scheduler.slot_completed == {"a": 3, "b": 3, "c": 3}
 
-    def test_round_robin_rotates(self):
-        executor = ScriptedExecutor(["a", "b"])
-        scheduler = ShardScheduler(
-            executor, assignment="round-robin", poll_interval=0.01
-        )
-        scheduler.run(_items(4))
-        assert scheduler.slot_completed == {"a": 2, "b": 2}
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ShardScheduler(ScriptedExecutor(["a"]), assignment="chaotic")
-
 
 class TestRetries:
     def test_failed_shard_retries_on_another_slot(self):

@@ -97,6 +97,21 @@ class TestCrossEngineEquivalence:
 
 
 class TestEngineBehaviour:
+    @pytest.fixture
+    def scheduler_runs(self, monkeypatch):
+        """The item count of every ``ShardScheduler.run`` call, in order."""
+        from repro.distributed.scheduler import ShardScheduler
+
+        calls = []
+        original = ShardScheduler.run
+
+        def counting_run(scheduler, items):
+            calls.append(len(items))
+            return original(scheduler, items)
+
+        monkeypatch.setattr(ShardScheduler, "run", counting_run)
+        return calls
+
     def test_requires_positive_realisations(self, fast_params):
         with pytest.raises(ValueError, match="num_realisations"):
             run_engine(_request(fast_params, num_realisations=0))
@@ -133,7 +148,7 @@ class TestEngineBehaviour:
             adhoc.completion_times, spec_run.completion_times
         )
 
-    def test_every_run_can_use_the_shard_store(self, fast_params):
+    def test_every_run_can_use_the_shard_store(self, fast_params, scheduler_runs):
         """Unsharded runs read/write the block cache: resume + delta growth."""
         from repro.distributed.store import ShardStore
 
@@ -152,6 +167,9 @@ class TestEngineBehaviour:
         np.testing.assert_array_equal(
             grown.estimate.completion_times[:20], first.estimate.completion_times
         )
+        # One scheduler pass per run with missing blocks; the grown run
+        # cuts only its 2-block delta.
+        assert scheduler_runs == [4, 2] and grown.shards_dispatched == 2
 
     def test_unsharded_blocks_serve_sharded_runs_and_vice_versa(self, fast_params):
         """The block cache is shared across shard counts including zero."""
@@ -299,6 +317,79 @@ class TestEngineBehaviour:
         # 8 workers requested, but only 3 items exist: the pool is capped.
         assert report.shards_dispatched == 3
         assert set(report.slot_completed) <= {"process-0", "process-1", "process-2"}
+
+    @pytest.mark.parametrize(
+        "overrides, shards",
+        [
+            (dict(num_realisations=40), 4),  # one inline slot, 10 blocks
+            (dict(num_realisations=80, executor="process", workers=2), 8),
+        ],
+        ids=["inline-10-blocks", "pool-2-slots-20-blocks"],
+    )
+    def test_unpinned_runs_cut_four_shards_per_slot_in_one_pass(
+        self, fast_params, scheduler_runs, overrides, shards
+    ):
+        report = run_engine(_request(fast_params, **overrides))
+        assert scheduler_runs == [shards]
+        assert report.shards_dispatched == shards
+
+    def test_unpinned_board_run_plans_with_no_live_worker(
+        self, scheduler_runs, monkeypatch
+    ):
+        """Workers register asynchronously, so a board can have no live
+        slot when the run is planned: the count floors at one slot, and
+        the scheduler waits for the worker that registers afterwards."""
+        import threading
+        import time
+
+        from repro.distributed.scheduler import ShardScheduler
+        from repro.distributed.work import execute_work_item
+        from repro.service.shards import BoardExecutor, ShardBoard
+
+        inline = run_engine(
+            EngineRequest(spec=_spec("reference", 0), executor="inline")
+        )
+        scheduler_runs.clear()
+        board = ShardBoard()
+        stop = threading.Event()
+
+        def work():
+            worker = board.register("late")
+            while not stop.is_set():
+                items = board.claim_batch(worker, batch=4)
+                for item in items:
+                    board.post_result(
+                        worker, item["id"], result=execute_work_item(item)
+                    )
+                if not items:
+                    time.sleep(0.005)
+
+        thread = threading.Thread(target=work, daemon=True)
+        counting_run = ShardScheduler.run
+        live_at_dispatch = []
+
+        def register_after_planning(scheduler, items):
+            live_at_dispatch.append(board.live_workers())
+            if thread.ident is None:
+                thread.start()
+            return counting_run(scheduler, items)
+
+        monkeypatch.setattr(ShardScheduler, "run", register_after_planning)
+        try:
+            report = run_engine(
+                EngineRequest(
+                    spec=_spec("reference", 0), executor=BoardExecutor(board)
+                )
+            )
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert live_at_dispatch == [()]
+        assert scheduler_runs == [4] and report.shards_dispatched == 4
+        assert np.array_equal(
+            report.estimate.completion_times, inline.estimate.completion_times
+        )
 
     def test_quantile_sketch_is_partition_invariant(self, fast_params):
         serial = run_engine(_request(fast_params)).estimate

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pathlib
 
+import pytest
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -52,3 +54,50 @@ def test_program_trace_hooks_fit_one_inline_engine_run(monkeypatch, fast_params)
     # counted at the reference kernel.
     assert len(trace.entries) == 1
     assert trace.kernel_realisations["reference"] == 8
+
+
+def test_run_records_feed_the_fleet_ledger_entry(monkeypatch, fast_params):
+    """The fleet workload reads its engine rows off run-history records;
+    a pinned and an unpinned run's record both count as one slot."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    from repro.core.policies import LBP1
+    from repro.montecarlo import engine
+    from repro.obs.history import default_ledger
+
+    for shards in (2, None):
+        engine.run_engine(
+            engine.EngineRequest(
+                params=fast_params,
+                policy=LBP1(0.5),
+                workload=(20, 5),
+                num_realisations=8,
+                seed=3,
+                block_size=2,
+                shards=shards,
+            )
+        )
+    records = default_ledger().query(kind="run", newest_first=False)
+    assert [record["shards_dispatched"] for record in records] == [2, 4]
+    for record in records:
+        entry = workloads._ledger_entry(record)
+        timings, attribution = record["timings"], record["attribution"]
+        assert entry["slots"] == 1.0
+        assert entry["shards"] == record["shards_dispatched"]
+        assert entry["blocks_total"] == record["blocks_total"] == 4
+        assert entry["blocks_cached"] == record["blocks_cached"] == 0
+        assert entry["merge_s"] == timings["merge_seconds"]
+        assert entry["compute_s"] == timings["block_compute_seconds"]
+        assert entry["execute_s"] == timings["execute_seconds"]
+        assert entry["overhead_s"] == pytest.approx(
+            sum(
+                attribution[key]
+                for key in (
+                    "wire_seconds",
+                    "deserialize_seconds",
+                    "dispatch_seconds",
+                    "idle_seconds",
+                )
+            )
+        )
