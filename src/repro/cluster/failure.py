@@ -16,6 +16,7 @@ import numpy as np
 from repro.cluster.node import ComputeElement, NodeState
 from repro.sim.distributions import Exponential
 from repro.sim.engine import Environment
+from repro.sim.rng import exponential_draws
 
 
 class FailureRecoveryProcess:
@@ -29,6 +30,9 @@ class FailureRecoveryProcess:
         The node whose state this process controls.
     rng:
         Random stream used for the failure and recovery times of this node.
+        Both are drawn from it in chunks (see
+        :func:`~repro.sim.rng.exponential_draws`), so it must be the
+        process's own stream.
     on_failure / on_recovery:
         Optional callbacks ``f(node, time)`` invoked right after the node
         changes state (the system uses ``on_failure`` to trigger LBP-2's
@@ -73,11 +77,14 @@ class FailureRecoveryProcess:
 
     def _loop(self):
         node = self.node
+        # Each distribution's ``mean`` is the very ``1 / rate`` that its
+        # ``sample`` scales by, so these are its draws, bit for bit.
+        draw = exponential_draws(self.rng)
         while True:
             if node.state is NodeState.UP:
                 if self.failure_distribution is None:
                     return  # the node never fails again; nothing left to do
-                up_time = self.failure_distribution.sample(self.rng)
+                up_time = draw(self.failure_distribution.mean)
                 if self.horizon is not None and self.env.now + up_time > self.horizon:
                     return
                 yield self.env.timeout(up_time)
@@ -87,7 +94,7 @@ class FailureRecoveryProcess:
             else:
                 if self.recovery_distribution is None:
                     return  # permanently down (disallowed by NodeParameters)
-                down_time = self.recovery_distribution.sample(self.rng)
+                down_time = draw(self.recovery_distribution.mean)
                 yield self.env.timeout(down_time)
                 node.recover()
                 if self.on_recovery is not None:

@@ -21,7 +21,9 @@ from repro.cluster.task import Task, TaskState
 from repro.core.parameters import NodeParameters
 from repro.sim.distributions import Exponential
 from repro.sim.engine import Environment
+from repro.sim.events import Timeout
 from repro.sim.exceptions import Interrupt
+from repro.sim.rng import exponential_draws
 
 
 class NodeState(enum.Enum):
@@ -43,7 +45,10 @@ class ComputeElement:
     params:
         Stochastic parameters (:class:`~repro.core.parameters.NodeParameters`).
     rng:
-        Random stream used for the service times of this node.
+        Random stream used for the service times of this node.  The node
+        draws its exponential service times from it in chunks (see
+        :func:`~repro.sim.rng.exponential_draws`), so it must be the node's
+        own stream.
     preemption:
         ``"resume"`` (default) keeps the residual service requirement of a
         task interrupted by a failure; ``"restart"`` redraws it at recovery.
@@ -176,10 +181,19 @@ class ComputeElement:
     # -- service process ----------------------------------------------------------
 
     def _service_loop(self):
+        # Loop invariants, hoisted: this loop runs once per task.
+        env = self.env
+        waiting = self._waiting
+        resume = self.preemption == "resume"
+        provider = self._service_time_provider
+        # ``mean`` is the very ``1 / rate`` that ``Exponential.sample`` scales
+        # by, so these are its draws, bit for bit.
+        draw = exponential_draws(self.rng)
+        scale = self.service_distribution.mean
         while True:
             # Block until there is work *and* the node is up.
-            while not self._waiting or self.state is NodeState.DOWN:
-                self._wake = self.env.event()
+            while not waiting or self.state is NodeState.DOWN:
+                self._wake = env.event()
                 try:
                     yield self._wake
                 except Interrupt:
@@ -189,36 +203,35 @@ class ComputeElement:
                 finally:
                     self._wake = None
 
-            task = self._waiting.popleft()
+            task = waiting.popleft()
             task.mark_in_service()
             self._in_service = task
 
-            if task.remaining_service is not None and self.preemption == "resume":
+            if task.remaining_service is not None and resume:
                 service_time = task.remaining_service
-            elif self._service_time_provider is not None:
-                service_time = float(self._service_time_provider(task))
+            elif provider is not None:
+                service_time = float(provider(task))
             else:
-                service_time = self.service_distribution.sample(self.rng)
+                service_time = draw(scale)
 
-            start = self.env.now
+            start = env._now
             try:
-                yield self.env.timeout(service_time)
+                yield Timeout(env, service_time)
             except Interrupt:
                 # Failure in mid-service: save the residual work and push the
                 # task back to the head of the queue.
-                elapsed = self.env.now - start
+                elapsed = env._now - start
                 self.busy_time += elapsed
                 remaining = max(service_time - elapsed, 0.0)
-                task.mark_preempted(
-                    remaining if self.preemption == "resume" else None
-                )
-                self._waiting.appendleft(task)
+                task.mark_preempted(remaining if resume else None)
+                waiting.appendleft(task)
                 self._in_service = None
                 continue
 
             # Task completed.
-            self.busy_time += self.env.now - start
-            task.mark_completed(self.env.now, self.index)
+            now = env._now
+            self.busy_time += now - start
+            task.mark_completed(now, self.index)
             self._in_service = None
             self.tasks_completed += 1
             self._notify_queue_change()

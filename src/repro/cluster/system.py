@@ -164,9 +164,14 @@ class DistributedSystem:
         ]
 
         # -- initial workload and the policy's t = 0 action ---------------------
+        # Unit-size tasks draw nothing: only a size distribution gets a stream.
+        sizes_rng = (
+            None
+            if size_distribution is None
+            else self.streams.stream("workload.sizes")
+        )
         materialised = self.workload.materialise(
-            rng=self.streams.stream("workload.sizes"),
-            size_distribution=size_distribution,
+            rng=sizes_rng, size_distribution=size_distribution
         )
         for index, node in enumerate(self.nodes):
             node.assign_initial(materialised[index])

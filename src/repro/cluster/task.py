@@ -25,7 +25,7 @@ class TaskState(enum.Enum):
     COMPLETED = "completed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One unit of work.
 

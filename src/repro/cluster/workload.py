@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster.task import Task
 from repro.core.parameters import validate_workload
-from repro.sim.distributions import Distribution, Deterministic
+from repro.sim.distributions import Distribution
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,30 @@ class Workload:
         Parameters
         ----------
         rng:
-            Generator used to draw task sizes (only needed when
-            ``size_distribution`` is stochastic).
+            Generator used to draw task sizes, one per task in task-id
+            order (only used with a ``size_distribution``).
         size_distribution:
-            Distribution of the abstract task size; defaults to a unit
-            deterministic size.
+            Distribution of the abstract task size; without one every task
+            has unit size and no generator is needed.
         """
-        dist = size_distribution or Deterministic(1.0)
-        if rng is None:
-            rng = np.random.default_rng(0)
         tasks: Dict[int, List[Task]] = {}
         task_id = 0
+        if size_distribution is None:
+            for node, count in enumerate(self.counts):
+                tasks[node] = [Task(task_id + i, node) for i in range(count)]
+                task_id += count
+            return tasks
+        if rng is None:
+            rng = np.random.default_rng(0)
         for node, count in enumerate(self.counts):
             node_tasks = []
             for _ in range(count):
                 node_tasks.append(
-                    Task(task_id=task_id, origin=node, size=float(dist.sample(rng)))
+                    Task(
+                        task_id=task_id,
+                        origin=node,
+                        size=float(size_distribution.sample(rng)),
+                    )
                 )
                 task_id += 1
             tasks[node] = node_tasks

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Iterable, List, Optional, Tuple, Union
 
@@ -97,7 +97,7 @@ class Environment:
         """Put a triggered ``event`` onto the schedule after ``delay``."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     # -- execution ----------------------------------------------------------
 
@@ -109,22 +109,31 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("the simulation schedule is empty") from None
+        if not self._queue:
+            raise EmptySchedule("the simulation schedule is empty")
+        self._process(once=True)
 
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
+    def _process(self, once: bool = False) -> None:
+        """Pop and dispatch events until none remain (or after one).
 
-        if not event._ok and not event.defused():
-            # An unhandled failure: re-raise so errors do not pass silently.
-            value = event._value
-            if isinstance(value, BaseException):
-                raise value
-            raise SimulationError(f"event {event!r} failed with {value!r}")
+        :meth:`step` and :meth:`run` share this loop, so a run pays no
+        call per event.
+        """
+        queue = self._queue
+        while queue:
+            self._now, _, _, event = heappop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            assert callbacks is not None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event.defused():
+                # An unhandled failure: re-raise so errors do not pass silently.
+                value = event._value
+                if isinstance(value, BaseException):
+                    raise value
+                raise SimulationError(f"event {event!r} failed with {value!r}")
+            if once:
+                return
 
     def run(self, until: Union[None, float, int, Event] = None) -> Any:
         """Run the simulation.
@@ -160,11 +169,7 @@ class Environment:
             at.callbacks.append(_StopCallback(self))
 
         try:
-            while True:
-                try:
-                    self.step()
-                except EmptySchedule:
-                    break
+            self._process()
         except StopSimulation as stop:
             return stop.value
 

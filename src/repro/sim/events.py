@@ -9,6 +9,7 @@ events and are resumed by the environment when the event is processed.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from repro.sim.exceptions import SimulationError
@@ -145,11 +146,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self._delay = float(delay)
-        self._ok = True
+        # Event.__init__ and Environment.schedule, inlined: timeouts are the
+        # simulator's most frequent event, and the delay is checked above.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self._delay = float(delay)
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     @property
     def delay(self) -> float:

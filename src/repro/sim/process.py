@@ -123,7 +123,8 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator after ``event`` has been processed."""
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
 
         while True:
             try:
@@ -137,12 +138,12 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                self.env.schedule(self)
+                env.schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self.env.schedule(self)
+                env.schedule(self)
                 break
 
             if not isinstance(next_event, Event):
@@ -152,16 +153,17 @@ class Process(Event):
                 )
                 self._ok = False
                 self._value = error
-                self.env.schedule(self)
+                env.schedule(self)
                 break
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # The event has not been processed yet: wait for it.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 break
 
             # The event was already processed; feed its value straight back.
             event = next_event
 
-        self.env._active_process = None
+        env._active_process = None

@@ -14,6 +14,7 @@ from repro.cluster.system import (
 from repro.cluster.workload import Workload
 from repro.core.parameters import NodeParameters, SystemParameters, TransferDelayModel
 from repro.core.policies import LBP1, LBP2, NoBalancing, SendAllOnFailure
+from repro.sim.distributions import Uniform
 
 
 class TestBasicRuns:
@@ -40,6 +41,17 @@ class TestBasicRuns:
         a = simulate_once(fast_params, LBP1(0.4), (30, 10), seed=1).completion_time
         b = simulate_once(fast_params, LBP1(0.4), (30, 10), seed=2).completion_time
         assert a != b
+
+    def test_unit_sizes_build_no_size_stream(self, fast_params):
+        system = DistributedSystem(fast_params, NoBalancing(), (5, 5), seed=0)
+        assert "workload.sizes" not in system.streams
+
+    def test_size_distribution_draws_from_its_own_stream(self, fast_params):
+        system = DistributedSystem(
+            fast_params, NoBalancing(), (5, 5), seed=0,
+            size_distribution=Uniform(0.5, 1.5),
+        )
+        assert "workload.sizes" in system.streams
 
     def test_accepts_workload_object(self, fast_params):
         result = simulate_once(fast_params, NoBalancing(), Workload((5, 5)), seed=0)

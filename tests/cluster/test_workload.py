@@ -61,6 +61,16 @@ class TestWorkload:
         tasks = Workload((4, 0)).materialise()
         assert all(task.size == 1.0 for task in tasks[0])
 
+    def test_materialise_unit_sizes_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("unit sizes need no random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        tasks = Workload((3, 2)).materialise()
+        assert [(t.task_id, t.origin, t.size) for n in (0, 1) for t in tasks[n]] == [
+            (0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 1, 1.0), (4, 1, 1.0)
+        ]
+
     def test_generate_workload_helper(self):
         workload, tasks = generate_workload([2, 3])
         assert workload.total == 5

@@ -117,6 +117,20 @@ class TestTimeout:
         env.run()
         assert order == ["a", "b"]
 
+    def test_urgent_event_preempts_earlier_timeout_at_same_time(self, env):
+        # A process start is urgent: it runs before a zero-delay timeout
+        # scheduled ahead of it.
+        order = []
+        env.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+
+        def proc():
+            order.append("process")
+            yield env.timeout(0)
+
+        env.process(proc())
+        env.run()
+        assert order == ["process", "timeout"]
+
 
 class TestConditions:
     def test_any_of_triggers_on_first(self, env):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RandomStreams, hash_name, spawn_seeds
+from repro.sim.rng import (
+    EXPONENTIAL_CHUNK,
+    RandomStreams,
+    exponential_draws,
+    hash_name,
+    spawn_seeds,
+)
 
 
 class TestRandomStreams:
@@ -71,6 +77,47 @@ class TestRandomStreams:
         sequence = np.random.SeedSequence(9)
         streams = RandomStreams(sequence)
         assert streams.stream("x") is not None
+
+    @pytest.mark.parametrize("name", ["node-1.failure", "network.delay", "x"])
+    def test_stream_matches_explicit_derivation_under_spawn_key(self, name):
+        digest = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
+        key = int(digest.sum()) * 1_000_003 + len(name) * 7_919
+        explicit = np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=99, spawn_key=(4, 2, hash_name(name), key)
+            )
+        ).random(4)
+        # The name's spawn-key suffix is memoised across collections: it
+        # must combine with each collection's own root spawn key.
+        for root_key in [(4, 2), (5,), (4, 2)]:
+            streams = RandomStreams(np.random.SeedSequence(99, spawn_key=root_key))
+            drawn = streams.stream(name).random(4)
+            if root_key == (4, 2):
+                assert drawn.tolist() == explicit.tolist()
+            else:
+                assert drawn.tolist() != explicit.tolist()
+
+
+class TestExponentialDraws:
+    def test_equals_scalar_exponential_across_chunk_boundaries(self):
+        # Alternating scales, like a failure/recovery stream.
+        scales = [20.0, 10.0, 1.0 / 1.08, 0.5]
+        draw = exponential_draws(np.random.default_rng(2006))
+        reference = np.random.default_rng(2006)
+        for k in range(3 * EXPONENTIAL_CHUNK + 7):
+            scale = scales[k % len(scales)]
+            assert draw(scale) == float(reference.exponential(scale))
+
+    def test_returns_python_floats(self):
+        assert type(exponential_draws(np.random.default_rng(0))(2.0)) is float
+
+    def test_draws_nothing_until_first_use(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        draw = exponential_draws(rng)
+        assert rng.bit_generator.state == before
+        draw(1.0)
+        assert rng.bit_generator.state != before
 
 
 class TestHelpers:
