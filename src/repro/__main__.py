@@ -369,24 +369,8 @@ def _bench_main(argv) -> int:
         "(median ± MAD over comparable prior records; see `repro history`) "
         "and exit non-zero when any check comes back regressed",
     )
-    parser.add_argument(
-        "--serialization",
-        action="store_true",
-        help="microbenchmark the binary wire frames against the JSON wire "
-        "on representative worker payloads and gate on the size/decode "
-        "ratios, written to BENCH_serialization.json",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=120,
-        help="with --serialization: interleaved timing rounds per case "
-        "(default 120)",
-    )
     args = parser.parse_args(argv)
 
-    if args.serialization:
-        return _bench_serialization(args)
     if args.distributed:
         return _bench_distributed(args)
 
@@ -469,34 +453,6 @@ def _sentinel_verdict(report) -> int:
     else:
         print("regression check passed")
     return worst
-
-
-def _bench_serialization(args) -> int:
-    """`python -m repro bench --serialization`: frame-vs-JSON wire gate."""
-    from repro.backends.bench import (
-        run_serialization_benchmark,
-        serialization_gate_problems,
-    )
-
-    report = run_serialization_benchmark(rounds=args.rounds)
-    header = (
-        f"{'case':<24} {'json B':>8} {'frame B':>8} {'size':>6} "
-        f"{'decode':>7} {'encode':>7}  gate"
-    )
-    print(header)
-    print("-" * len(header))
-    for case in report.cases:
-        print(
-            f"{case.label:<24} {case.json_bytes:>8} {case.frame_bytes:>8} "
-            f"{case.size_ratio:>5.2f}x {case.decode_speedup:>6.2f}x "
-            f"{case.encode_speedup:>6.2f}x  {'yes' if case.gate else 'no'}"
-        )
-    path = report.write(args.output or "BENCH_serialization.json")
-    print(f"wrote {path}")
-    problems = serialization_gate_problems(report)
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def _bench_distributed(args) -> int:
@@ -648,9 +604,6 @@ def _worker_main(argv) -> int:
     parser.add_argument("--name", default=None,
                         help="worker name shown in the fleet view "
                         "(default: hostname-pid)")
-    parser.add_argument("--poll", type=float, default=0.2,
-                        help="seconds between idle polls (default 0.2; "
-                        "empty polls back off exponentially from here)")
     parser.add_argument("--batch", type=int, default=None,
                         help="work items to claim per round-trip (default 4)")
     parser.add_argument("--max-idle", type=float, default=None,
@@ -670,7 +623,6 @@ def _worker_main(argv) -> int:
     try:
         kwargs = dict(
             name=args.name,
-            poll_interval=args.poll,
             max_idle=args.max_idle,
             once=args.once,
         )
@@ -691,7 +643,8 @@ def _fleet_main(argv) -> int:
         prog="python -m repro fleet",
         description="Show aggregated worker telemetry from a running results "
         "service (GET /v1/fleet): items executed, busy fraction and claim "
-        "latency per worker, as a one-shot or refreshing table.",
+        "overhead (parked time excluded) per worker, as a one-shot or "
+        "refreshing table.",
     )
     parser.add_argument("--connect", required=True,
                         help="base URL of the results service "

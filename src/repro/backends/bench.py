@@ -787,232 +787,3 @@ def compare_distributed_reports(
                 f"current {cur_throughput:.1f} real/s"
             )
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Serialization microbenchmark: binary wire frames vs the JSON wire
-# ---------------------------------------------------------------------------
-
-#: JSON schema version of ``BENCH_serialization.json``.
-SERIALIZATION_SCHEMA_VERSION = 1
-
-#: The gates CI applies to the gate case (the batched result post):
-#: frames must be at least this much smaller than the JSON wire rendering
-#: and decode at least this much faster.
-DEFAULT_MIN_SIZE_RATIO = 3.0
-DEFAULT_MIN_DECODE_SPEEDUP = 5.0
-
-
-@dataclass
-class SerializationCase:
-    """One payload shape timed under both encodings.
-
-    The JSON side is the *actual* pre-frames wire rendering
-    (``Response.json``: sorted keys, ``indent=1``, trailing newline), so
-    the ratios measure the real tax the frame format removes, not a
-    strawman compact encoding.
-    """
-
-    label: str
-    gate: bool
-    json_bytes: int
-    frame_bytes: int
-    json_decode_seconds: float
-    frame_decode_seconds: float
-    json_encode_seconds: float
-    frame_encode_seconds: float
-
-    @property
-    def size_ratio(self) -> float:
-        return self.json_bytes / self.frame_bytes
-
-    @property
-    def decode_speedup(self) -> float:
-        return self.json_decode_seconds / self.frame_decode_seconds
-
-    @property
-    def encode_speedup(self) -> float:
-        return self.json_encode_seconds / self.frame_encode_seconds
-
-    def to_dict(self) -> Dict[str, Union[str, bool, int, float]]:
-        payload = asdict(self)
-        payload["size_ratio"] = self.size_ratio
-        payload["decode_speedup"] = self.decode_speedup
-        payload["encode_speedup"] = self.encode_speedup
-        return payload
-
-
-@dataclass
-class SerializationBenchmarkReport:
-    """Machine-readable output of :func:`run_serialization_benchmark`."""
-
-    cases: List[SerializationCase]
-    rounds: int
-    schema_version: int = SERIALIZATION_SCHEMA_VERSION
-    repro_version: str = __version__
-
-    @property
-    def gate_case(self) -> SerializationCase:
-        for case in self.cases:
-            if case.gate:
-                return case
-        raise ValueError("report contains no gate case")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": self.schema_version,
-            "repro_version": self.repro_version,
-            "rounds": self.rounds,
-            "cases": [case.to_dict() for case in self.cases],
-        }
-
-    def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
-
-def _serialization_payloads() -> List[Tuple[str, bool, Dict[str, object]]]:
-    """Representative worker-wire payloads: ``(label, is_gate, payload)``.
-
-    The gate case is the batched result post exactly as the committed
-    distributed benchmark produces it — 8 single-block work items of
-    250-sample blocks posted in one ``/results`` round-trip.  The smaller
-    shapes are reported for context only: their decode cost is dominated
-    by fixed per-call overhead (~10 µs) that no encoding removes, so
-    gating them would measure the floor, not the format.
-    """
-    import numpy as np
-
-    from repro.montecarlo.statistics import RunningStatistics
-
-    rng = np.random.default_rng(1234)
-
-    def block(index: int, samples: int) -> Dict[str, object]:
-        times = [float(t) for t in rng.normal(115.8, 38.6, samples)]
-        return {
-            "index": index,
-            "start": index * samples,
-            "stop": (index + 1) * samples,
-            "policy": "LBP1",
-            "completion_times": times,
-            "stats": RunningStatistics.from_values(times).to_dict(),
-            "wall_seconds": 0.12345678901234567,
-        }
-
-    def item(index: int, blocks: int, samples: int) -> Dict[str, object]:
-        return {
-            "id": f"it-{index}",
-            "task": "abcd1234",
-            "shard": index,
-            "blocks": [
-                block(8 * index + b, samples) for b in range(blocks)
-            ],
-            "wall_seconds": 0.5,
-        }
-
-    return [
-        (
-            "result-batch-8x1x250",
-            True,
-            {"results": [item(i, blocks=1, samples=250) for i in range(8)]},
-        ),
-        ("single-item-4x250", False, item(0, blocks=4, samples=250)),
-        ("single-item-1x250", False, item(0, blocks=1, samples=250)),
-    ]
-
-
-def _interleaved_best(fn_a, arg_a, fn_b, arg_b, rounds: int) -> Tuple[float, float]:
-    """Best-of-``rounds`` wall times with *interleaved* sampling.
-
-    Timing the two sides in separate windows lets a scheduler hiccup land
-    entirely on one of them and swing the ratio by 30%+ on a busy 1-CPU
-    container; alternating per round makes noise hit both sides equally,
-    so the minima — and therefore the ratio — are stable run to run.
-    Within a round each side runs three times and keeps its fastest: the
-    first repetition absorbs the cache/allocator state the *other* side
-    left behind, so the minima measure each codec warm rather than the
-    crossover penalty.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        for _rep in range(3):
-            started = perf_counter()
-            fn_a(arg_a)
-            best_a = min(best_a, perf_counter() - started)
-        for _rep in range(3):
-            started = perf_counter()
-            fn_b(arg_b)
-            best_b = min(best_b, perf_counter() - started)
-    return best_a, best_b
-
-
-def run_serialization_benchmark(rounds: int = 120) -> SerializationBenchmarkReport:
-    """Time frame vs JSON encode/decode over representative wire payloads."""
-    from repro.distributed.frames import decode_frame, encode_frame
-
-    def json_wire(payload) -> bytes:
-        # Byte-for-byte the service's Response.json rendering.
-        return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
-
-    cases: List[SerializationCase] = []
-    for label, gate, payload in _serialization_payloads():
-        json_bytes = json_wire(payload)
-        frame_bytes = encode_frame(payload)
-        if decode_frame(frame_bytes) != payload:
-            raise AssertionError(
-                f"frame round-trip of case {label!r} is not identity"
-            )
-        json_decode, frame_decode = _interleaved_best(
-            json.loads, json_bytes, decode_frame, frame_bytes, rounds
-        )
-        json_encode, frame_encode = _interleaved_best(
-            json_wire, payload, encode_frame, payload, rounds
-        )
-        cases.append(
-            SerializationCase(
-                label=label,
-                gate=gate,
-                json_bytes=len(json_bytes),
-                frame_bytes=len(frame_bytes),
-                json_decode_seconds=json_decode,
-                frame_decode_seconds=frame_decode,
-                json_encode_seconds=json_encode,
-                frame_encode_seconds=frame_encode,
-            )
-        )
-    return SerializationBenchmarkReport(cases=cases, rounds=rounds)
-
-
-def serialization_gate_problems(
-    report: SerializationBenchmarkReport,
-    min_size_ratio: float = DEFAULT_MIN_SIZE_RATIO,
-    min_decode_speedup: float = DEFAULT_MIN_DECODE_SPEEDUP,
-) -> List[str]:
-    """Apply the frame-format gates to the report's gate case.
-
-    Size is deterministic (pure byte counts); decode is timing and noisy,
-    which is why the gate case is the large batched-result payload where
-    the measured margin is widest — smaller payloads sit on fixed per-call
-    overhead and are reported, not gated.
-    """
-    problems: List[str] = []
-    try:
-        case = report.gate_case
-    except ValueError as error:
-        return [str(error)]
-    if case.size_ratio < min_size_ratio:
-        problems.append(
-            f"frame size ratio on {case.label} is {case.size_ratio:.2f}x "
-            f"({case.json_bytes}B JSON vs {case.frame_bytes}B frame), "
-            f"required >= {min_size_ratio:g}x"
-        )
-    if case.decode_speedup < min_decode_speedup:
-        problems.append(
-            f"frame decode speedup on {case.label} is "
-            f"{case.decode_speedup:.2f}x "
-            f"({case.json_decode_seconds * 1e6:.1f}us JSON vs "
-            f"{case.frame_decode_seconds * 1e6:.1f}us frame), "
-            f"required >= {min_decode_speedup:g}x"
-        )
-    return problems

@@ -211,48 +211,48 @@ class AbsorbingCTMC:
         return result / totals
 
     def _transient_expm(self, start: int, times: np.ndarray) -> np.ndarray:
+        # Step the propagator from each distinct sorted time to the next:
+        # every step integrates only its own interval instead of restarting
+        # the whole horizon from t = 0.
+        unique, inverse = np.unique(times, return_inverse=True)
+        transposed = sparse.csc_matrix(self.generator.T)
         vector = np.zeros(self.num_states)
         vector[start] = 1.0
-        transposed = sparse.csc_matrix(self.generator.T)
-        result = np.empty((len(times), self.num_states))
-        for i, t in enumerate(times):
-            if t == 0.0:
-                result[i] = vector
-            else:
-                result[i] = expm_multiply(transposed * t, vector)
-        return result
+        states = np.empty((len(unique), self.num_states))
+        previous = 0.0
+        for i, t in enumerate(unique):
+            if t > previous:
+                vector = expm_multiply(transposed * (t - previous), vector)
+                previous = t
+            states[i] = vector
+        return states[inverse.reshape(-1)]
 
     def _transient_ode(self, start: int, times: np.ndarray) -> np.ndarray:
         from scipy.integrate import solve_ivp
 
         vector = np.zeros(self.num_states)
         vector[start] = 1.0
-        transposed = sparse.csr_matrix(self.generator.T)
-
-        order = np.argsort(times)
-        sorted_times = times[order]
-        t_final = float(sorted_times[-1]) if len(sorted_times) else 0.0
-        if t_final == 0.0:
+        unique, inverse = np.unique(times, return_inverse=True)
+        if not len(unique) or unique[-1] == 0.0:
             return np.tile(vector, (len(times), 1))
 
+        # The forward equation p' = Q^T p is linear and stiff, with a
+        # constant sparse Jacobian Q^T: an implicit (BDF) solve that is
+        # handed that Jacobian factors it instead of estimating it.
+        transposed = sparse.csc_matrix(self.generator.T)
         solution = solve_ivp(
             lambda _t, p: transposed.dot(p),
-            t_span=(0.0, t_final),
+            t_span=(0.0, float(unique[-1])),
             y0=vector,
-            t_eval=np.unique(sorted_times),
-            method="LSODA",
+            t_eval=unique,
+            method="BDF",
+            jac=transposed,
             rtol=1e-8,
             atol=1e-10,
         )
-        lookup = {t: solution.y[:, i] for i, t in enumerate(solution.t)}
-        result = np.empty((len(times), self.num_states))
-        unique_sorted = np.unique(sorted_times)
-        for i, t in enumerate(times):
-            # Map each requested time to the nearest evaluated time (they are
-            # identical up to floating-point representation).
-            nearest = unique_sorted[np.argmin(np.abs(unique_sorted - t))]
-            result[i] = lookup[nearest]
-        return result
+        if not solution.success:
+            raise RuntimeError(f"transient ODE solve failed: {solution.message}")
+        return solution.y.T[inverse.reshape(-1)]
 
 
 @dataclass

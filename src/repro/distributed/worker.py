@@ -16,18 +16,20 @@ Three fleet-efficiency mechanics live here:
 * **batched claims** — one claim round-trip asks for up to ``batch`` work
   items and one result post ships every outcome of the batch, both as
   binary frames;
-* **backoff** — empty claims back off exponentially with jitter (capped at
-  :data:`CLAIM_BACKOFF_CAP`), so a large idle fleet stops hammering
-  ``/v1/workers/{id}/claim`` in lockstep.
+* **long-poll claims** — a claim that finds nothing queued parks on the
+  service for up to :data:`CLAIM_WAIT_SECONDS` and returns the moment
+  the scheduler queues an item for this worker, so an idle worker neither
+  sleeps through new work nor hammers ``/v1/workers/{id}/claim``.
 
 Failures inside a work item are posted back as structured errors (the
 scheduler decides whether to retry elsewhere); failures of the *service
-connection* are retried with a backoff until ``max_idle`` expires.
+connection* are retried every :data:`RETRY_PAUSE_SECONDS` until
+``max_idle`` expires, and a claim is retried under its own token, so the
+board replays the items of a claim whose reply was lost.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 from typing import List, Optional
@@ -50,7 +52,8 @@ _CLAIMS = REGISTRY.counter(
 )
 _CLAIM_SECONDS = REGISTRY.histogram(
     "repro_worker_claim_seconds",
-    "Latency of the claim-work HTTP round-trip.",
+    "Claim overhead: the claim-work HTTP round-trip minus the time the "
+    "claim spent parked on the service.",
 )
 _CLAIM_BATCH = REGISTRY.histogram(
     "repro_worker_claim_batch_items",
@@ -74,54 +77,13 @@ _BUSY_SECONDS = REGISTRY.counter(
 #: always carry telemetry (results are the interesting moments).
 TELEMETRY_INTERVAL = 5.0
 
-#: Hard ceiling on the empty-claim backoff delay, seconds.
-CLAIM_BACKOFF_CAP = 2.0
+#: Longest a claim asks the service to park it while nothing is queued,
+#: seconds: well under the worker's 30 s client timeout (the service caps
+#: it further, at half its worker timeout).
+CLAIM_WAIT_SECONDS = 10.0
 
-
-class ClaimBackoff:
-    """Exponential backoff with jitter for empty work claims.
-
-    The delay doubles per consecutive empty claim, from ``base`` up to the
-    hard ``cap``, and each delay is jittered by ±``jitter`` (fraction of
-    itself) so a fleet started in lockstep decorrelates instead of polling
-    the service in synchronized waves.  ``reset()`` snaps back to ``base``
-    the moment work appears.  Jitter never pushes a delay above ``cap`` or
-    below zero, and ``jitter=0`` (tests) makes the schedule exact:
-    ``base, 2·base, 4·base, …, cap, cap, …``.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.2,
-        cap: float = CLAIM_BACKOFF_CAP,
-        factor: float = 2.0,
-        jitter: float = 0.25,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if base <= 0:
-            raise ValueError(f"base must be > 0, got {base!r}")
-        if cap < base:
-            raise ValueError(f"cap must be >= base, got {cap!r} < {base!r}")
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor!r}")
-        if not 0 <= jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
-        self.base = base
-        self.cap = cap
-        self.factor = factor
-        self.jitter = jitter
-        self._rng = rng if rng is not None else random.Random()
-        self._misses = 0
-
-    def reset(self) -> None:
-        self._misses = 0
-
-    def next_delay(self) -> float:
-        delay = min(self.cap, self.base * self.factor**self._misses)
-        self._misses += 1
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        return min(self.cap, delay)
+#: Pause after a failed request before the worker tries again, seconds.
+RETRY_PAUSE_SECONDS = 0.5
 
 
 class _Telemetry:
@@ -160,7 +122,6 @@ class _Telemetry:
 def run_worker(
     connect: str,
     name: Optional[str] = None,
-    poll_interval: float = 0.2,
     max_idle: Optional[float] = None,
     once: bool = False,
     batch: int = DEFAULT_CLAIM_BATCH,
@@ -169,10 +130,11 @@ def run_worker(
     """Serve shard work items from the service at ``connect`` until stopped.
 
     ``max_idle`` exits cleanly after that many seconds without work (used
-    by tests and batch jobs); ``once`` exits after the first batch that
-    completes at least one item.  ``batch`` is the number of work items
-    requested per claim round-trip (the service may hand back fewer).
-    Returns a process exit code.
+    by tests and batch jobs; a parked claim never waits past it);
+    ``once`` exits after the first batch that completes at least one
+    item.  ``batch`` is the number of work items requested per claim
+    round-trip (the service may hand back fewer).  Returns a process exit
+    code.
     """
     from repro.service.client import ServiceClient, ServiceError
 
@@ -181,7 +143,6 @@ def run_worker(
     client = ServiceClient(connect, timeout=30.0)
     me = worker_name(name)
     telemetry = _Telemetry(me)
-    backoff = ClaimBackoff(base=max(poll_interval, 0.05))
 
     warm_seconds = warm_block_runtime()
     log(f"repro worker {me}: block runtime warm in {warm_seconds:.2f}s", flush=True)
@@ -201,7 +162,7 @@ def run_worker(
                         file=sys.stderr,
                     )
                     return None
-                time.sleep(max(poll_interval, 0.5))
+                time.sleep(RETRY_PAUSE_SECONDS)
 
     worker_id = register()
     if worker_id is None:
@@ -210,18 +171,21 @@ def run_worker(
 
     idle_since = time.monotonic()
     executed = 0
-    claim_seq = 0
+    claim_seq = 1
     while True:
+        wait = CLAIM_WAIT_SECONDS
+        if max_idle is not None:
+            idle_left = max_idle - (time.monotonic() - idle_since)
+            wait = max(0.0, min(wait, idle_left))
         claim_started = time.monotonic()
-        claim_seq += 1
         try:
-            items = client.claim_work_batch(
+            claim = client.claim_work_batch(
                 worker_id,
                 batch=batch,
                 token=f"{worker_id}:{claim_seq}",
                 telemetry=telemetry.payload_if_due(),
+                wait=wait,
             )
-            _CLAIM_SECONDS.observe(time.monotonic() - claim_started)
         except ServiceError as error:
             _CLAIMS.labels(outcome="error").inc()
             if error.status == 404:
@@ -235,7 +199,7 @@ def run_worker(
             if max_idle is not None and time.monotonic() - idle_since > max_idle:
                 log(f"repro worker {me}: service errors ({error}); exiting")
                 return 1
-            time.sleep(max(poll_interval, 0.5))
+            time.sleep(RETRY_PAUSE_SECONDS)
             continue
         except OSError as error:
             _CLAIMS.labels(outcome="error").inc()
@@ -243,20 +207,28 @@ def run_worker(
             if max_idle is not None and time.monotonic() - idle_since > max_idle:
                 log(f"repro worker {me}: service unreachable ({error}); exiting")
                 return 1
-            time.sleep(max(poll_interval, 0.5))
+            time.sleep(RETRY_PAUSE_SECONDS)
             continue
+        # Only an answered claim moves the token on: a retry of a claim
+        # whose reply was lost reuses it, and the board replays the items
+        # it already moved to `claimed` instead of stranding them.
+        claim_seq += 1
+        _CLAIM_SECONDS.observe(
+            max(0.0, time.monotonic() - claim_started - claim.parked)
+        )
+        items = claim.items
 
         if not items:
+            # Parked until its deadline with nothing queued: claim again
+            # at once unless the idle budget is spent.
             _CLAIMS.labels(outcome="empty").inc()
-            if max_idle is not None and time.monotonic() - idle_since > max_idle:
+            if max_idle is not None and time.monotonic() - idle_since >= max_idle:
                 log(f"repro worker {me}: idle for {max_idle:g}s; exiting")
                 return 0
-            time.sleep(backoff.next_delay())
             continue
 
         _CLAIMS.labels(outcome="item").inc()
         _CLAIM_BATCH.observe(float(len(items)))
-        backoff.reset()
         idle_since = time.monotonic()
 
         # Execute the whole batch, then ship every outcome in one post.
@@ -294,7 +266,7 @@ def run_worker(
             )
         except (ServiceError, OSError) as error:
             # The results are lost (the scheduler's shard timeout will
-            # reassign them); the worker itself survives and keeps polling.
+            # reassign them); the worker itself survives and keeps claiming.
             log(
                 f"repro worker {me}: could not post {len(outcomes)} "
                 f"outcome(s) ({error}); continuing",

@@ -1,7 +1,7 @@
 """Fleet metrics aggregation: worker registries, merged service-side.
 
 ``repro worker`` processes keep their own :class:`MetricsRegistry`
-(claim latency, blocks executed, busy time).  Each worker piggybacks its
+(claim overhead, blocks executed, busy time).  Each worker piggybacks its
 full cumulative ``snapshot()`` — tagged with a monotonically increasing
 ``seq`` — on the claim/result posts it already makes; the service feeds
 them to a :class:`FleetAggregator`, which keeps the **latest** snapshot
@@ -12,7 +12,7 @@ per worker and exposes two read sides:
   ``GET /metrics`` next to the service's own registry (via
   :func:`repro.obs.metrics.render_many`);
 * :meth:`FleetAggregator.summary` — the ``GET /v1/fleet`` JSON: per-worker
-  derived stats (items/s, busy fraction, mean claim latency) plus fleet
+  derived stats (items/s, busy fraction, mean claim overhead) plus fleet
   totals, which ``repro fleet`` renders as a table.
 
 Cumulative-snapshot-with-replace beats shipping deltas: a worker that

@@ -22,7 +22,10 @@ Endpoint map (all JSON unless noted; ``{h}`` is a full spec content hash)::
 
 The two worker endpoints speak binary frames
 (``application/x-repro-frame``, :mod:`repro.distributed.frames`) both
-ways; any other body is a 400, and error replies stay JSON.
+ways; any other body is a 400, and error replies stay JSON.  A claim is
+a long poll: with ``wait`` > 0 an empty claim parks until work is
+queued for the worker or the wait (capped at half the worker timeout)
+runs out, and the reply's ``parked`` says for how many seconds.
 
 ``/v1/results/{h}`` speaks conditional HTTP: the response carries an
 ``ETag`` (the version-salted cache key of :func:`repro.scenarios.cache
@@ -85,7 +88,7 @@ _ENDPOINTS = {
     "GET /v1/fleet": "aggregated worker telemetry (items/s, busy, claims)",
     "GET /v1/workers": "registered shard workers (fleet view)",
     "POST /v1/workers": "register a shard worker (202 + worker id)",
-    "POST /v1/workers/{id}/claim": "claim a batch of shard work items (frame)",
+    "POST /v1/workers/{id}/claim": "claim a batch of shard work items (frame, long poll)",
     "POST /v1/workers/{id}/results": "post a batch of shard outcomes (frame)",
 }
 
@@ -136,6 +139,9 @@ class ResultsService:
         return await self._server.start(host, port)
 
     async def stop(self) -> None:
+        # Parked claims answer now instead of holding their connections
+        # (and the server's shutdown) open until their waits run out.
+        self.board.close()
         await self._server.stop()
         if self.queue is not None:
             await self.queue.close()
@@ -272,17 +278,30 @@ class ResultsService:
                     f"a claim's {FRAME_CONTENT_TYPE} body needs an integer "
                     "'batch' >= 1",
                 )
+            wait = payload.get("wait", 0)
+            if (
+                isinstance(wait, bool)
+                or not isinstance(wait, (int, float))
+                or not wait >= 0  # also false for NaN
+            ):
+                raise HTTPError(
+                    400,
+                    f"a claim's {FRAME_CONTENT_TYPE} body needs a number "
+                    "'wait' >= 0 (seconds to park an empty claim)",
+                )
             token = payload.get("token")
             self._ingest_telemetry(worker_id, payload.get("telemetry"))
             try:
-                items = self.board.claim_batch(
+                items, parked = await self.board.claim(
                     worker_id,
                     batch=batch,
                     token=None if token is None else str(token),
+                    wait=float(wait),
+                    connected=request.connected,
                 )
             except KeyError as error:
                 raise HTTPError(404, str(error.args[0]))
-            return _frame_response({"items": items})
+            return _frame_response({"items": items, "parked": parked})
 
         @route("POST", "/v1/workers/{worker_id}/results")
         async def post_work_results(request: Request, worker_id: str) -> Response:

@@ -12,10 +12,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from urllib.parse import quote, urlsplit
 
 import http.client
+
+
+class ClaimReply(NamedTuple):
+    """A work claim's answer: the items, and the seconds the service kept
+    the claim parked waiting for them (0 when it answered at once)."""
+
+    items: List[Dict[str, Any]]
+    parked: float
 
 
 class ServiceError(Exception):
@@ -306,21 +314,27 @@ class ServiceClient:
         batch: int = 1,
         token: Optional[str] = None,
         telemetry: Optional[Dict[str, Any]] = None,
-    ) -> List[Dict[str, Any]]:
+        wait: float = 0.0,
+    ) -> ClaimReply:
         """Claim up to ``batch`` work items in one round-trip.
 
-        ``token`` makes the claim idempotent: retrying the same token after
-        a lost response re-delivers the same items instead of claiming
-        fresh ones.  ``telemetry`` (``{"metrics": snapshot, "seq": n,
-        "name": ...}``) piggybacks the worker's cumulative metrics snapshot
-        on the claim — no extra round trip for fleet aggregation.
+        With ``wait`` > 0 the claim is a long poll: when nothing is queued
+        the service parks it until an item is, or for at most ``wait``
+        seconds (it caps the wait at half its worker timeout); keep
+        ``wait`` under this client's ``timeout``.  ``token`` makes the
+        claim idempotent: retrying the same token after a lost response
+        re-delivers the same items instead of claiming fresh ones.
+        ``telemetry`` (``{"metrics": snapshot, "seq": n, "name": ...}``)
+        piggybacks the worker's cumulative metrics snapshot on the claim —
+        no extra round trip for fleet aggregation.
         """
-        body: Dict[str, Any] = {"batch": int(batch)}
+        body: Dict[str, Any] = {"batch": int(batch), "wait": float(wait)}
         if token is not None:
             body["token"] = token
         if telemetry:
             body["telemetry"] = telemetry
-        return list(self._frame(f"/v1/workers/{worker_id}/claim", body)["items"])
+        reply = self._frame(f"/v1/workers/{worker_id}/claim", body)
+        return ClaimReply(list(reply["items"]), float(reply["parked"]))
 
     def post_work_results(
         self,

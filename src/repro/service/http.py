@@ -86,6 +86,9 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes = b""
+    #: Whether the client is still on the line; a handler that parks
+    #: (the long-poll work claim) asks before it acts on a wake-up.
+    connected: Callable[[], bool] = field(default=lambda: True, repr=False)
 
     def json(self) -> Any:
         """The request body parsed as JSON (``{}`` for an empty body)."""
@@ -284,6 +287,11 @@ class HTTPServer:
                     return
                 if request is None:
                     return
+                # A peer that closed (EOF) or reset (closing transport)
+                # its end has gone away.
+                request.connected = lambda: not (
+                    reader.at_eof() or writer.is_closing()
+                )
                 handler, params, route_label = self.router.dispatch(request)
                 result = await handler(request, **params)
             except HTTPError as error:

@@ -5,20 +5,23 @@ The board is the meeting point of two threads of control:
 
 * the **HTTP side** (event-loop handlers) — workers register, claim
   batches of the work items assigned to them, and post their results;
-  every call is a short, non-blocking critical section;
+  every call is a short, non-blocking critical section, and a claim that
+  finds nothing queued parks on the event loop (never on a thread) until
+  an item is assigned or its wait runs out;
 * the **scheduler side** (the job queue's worker thread) — the
   :class:`BoardExecutor` adapts the board to the
   :class:`~repro.distributed.executors.ShardExecutor` interface: live
   workers are the scheduler's slots, ``start`` drops an item into a
-  worker's queue, ``poll`` blocks on the board's condition variable for
-  posted results.
+  worker's queue (waking its parked claim), ``poll`` blocks on the
+  board's condition variable for posted results.
 
 Liveness is pull-based: a worker's ``last_seen`` refreshes on every claim
-or post.  A worker that stops polling is considered dead after
-``worker_timeout`` seconds — its *unclaimed* items fail immediately so the
-scheduler reassigns them; items it already claimed are left to the
-scheduler's own shard timeout (a busy worker executing a long shard does
-not poll, and must not be declared dead for it).
+or post, and a claim parks for at most half of ``worker_timeout``.  A
+worker that stops claiming is considered dead after ``worker_timeout``
+seconds — its *unclaimed* items fail immediately so the scheduler
+reassigns them; items it already claimed are left to the scheduler's own
+shard timeout (a busy worker executing a long shard does not claim, and
+must not be declared dead for it).
 
 Everything here is stdlib-only and numpy-free: the board sits on the
 service's request path.
@@ -26,18 +29,20 @@ service's request path.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.distributed.executors import ShardExecutor, ShardOutcome
 from repro.distributed.work import DEFAULT_CLAIM_BATCH
 from repro.obs.metrics import REGISTRY
 
 #: Seconds without a claim/post before a worker's unclaimed work is
-#: reassigned and it disappears from the slot list.
+#: reassigned and it disappears from the slot list.  A claim parks for at
+#: most half of it, so a parked worker never ages out.
 DEFAULT_WORKER_TIMEOUT = 30.0
 
 _CLAIM_BATCH_ITEMS = REGISTRY.histogram(
@@ -85,6 +90,9 @@ class _Worker:
     #: claiming fresh ones.
     last_claim_token: Optional[str] = None
     last_claim_items: List[Dict[str, Any]] = field(default_factory=list)
+    #: Wake callbacks of this worker's parked claims; ``assign`` fires
+    #: and clears them.
+    wakers: List[Callable[[], None]] = field(default_factory=list)
 
     def to_dict(self, now: float) -> Dict[str, Any]:
         return {
@@ -92,6 +100,7 @@ class _Worker:
             "name": self.name,
             "registered_at": self.registered_at,
             "seconds_since_seen": now - self.last_seen,
+            "parked": bool(self.wakers),
             "queued_items": len(self.queued),
             "claimed_items": len(self.claimed),
             "completed_shards": self.completed,
@@ -108,6 +117,7 @@ class ShardBoard:
         self._workers: Dict[str, _Worker] = {}
         self._ids = itertools.count(1)
         self._outcomes: List[ShardOutcome] = []
+        self._closed = False
 
     # -- HTTP side (event loop; never blocks) ------------------------------
 
@@ -141,22 +151,111 @@ class ShardBoard:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch!r}")
         with self._lock:
-            worker = self._require(worker_id)
-            worker.last_seen = time.monotonic()
-            if token is not None and token == worker.last_claim_token:
-                _CLAIM_REPLAYS.inc()
-                return list(worker.last_claim_items)
-            items: List[Dict[str, Any]] = []
-            while worker.queued and len(items) < batch:
-                item = worker.queued.pop(0)
-                worker.claimed[item["id"]] = item
-                items.append(item)
-            if token is not None:
-                worker.last_claim_token = token
-                worker.last_claim_items = list(items)
-            if items:
-                _CLAIM_BATCH_ITEMS.observe(float(len(items)))
-            return items
+            return self._claim_locked(worker_id, batch, token)
+
+    async def claim(
+        self,
+        worker_id: str,
+        batch: int = 1,
+        token: Optional[str] = None,
+        wait: float = 0.0,
+        connected: Callable[[], bool] = lambda: True,
+    ) -> Tuple[List[Dict[str, Any]], float]:
+        """:meth:`claim_batch` as a long poll on the running event loop.
+
+        A claim that finds nothing queued parks for up to ``wait`` seconds
+        (capped at half of ``worker_timeout``, so a parked worker stays in
+        :meth:`live_workers`) and :meth:`assign` wakes it the moment an
+        item is queued for this worker.  Returns the items and the seconds
+        the claim spent parked.
+
+        A replayed token is answered at once.  A fresh token is recorded
+        only with the claim's answer, so a retry of a parked claim whose
+        reply was lost parks again.  ``connected`` says whether the
+        claiming worker is still on the line: a claim woken after it went
+        away claims nothing and leaves ``last_seen`` alone, so what was
+        queued for a worker that died while parked fails over as a dead
+        worker's (:meth:`collect`).
+        """
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch!r}")
+        loop = asyncio.get_running_loop()
+        woken = asyncio.Event()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(woken.set)
+            except RuntimeError:
+                pass  # the loop that parked this claim has closed
+
+        deadline = time.monotonic() + min(wait, self.worker_timeout / 2.0)
+        parked_at: Optional[float] = None
+        try:
+            while True:
+                with self._lock:
+                    park = not self._closed and time.monotonic() < deadline
+                    items = self._claim_locked(
+                        worker_id, batch, token, wake if park else None
+                    )
+                now = time.monotonic()
+                if items is not None:
+                    return items, 0.0 if parked_at is None else now - parked_at
+                if parked_at is None:
+                    parked_at = now
+                woken.clear()
+                try:
+                    await asyncio.wait_for(woken.wait(), deadline - now)
+                except asyncio.TimeoutError:
+                    pass
+                if not connected():
+                    return [], time.monotonic() - parked_at
+        finally:
+            with self._lock:
+                worker = self._workers.get(worker_id)
+                if worker is not None and wake in worker.wakers:
+                    worker.wakers.remove(wake)
+
+    def _claim_locked(
+        self,
+        worker_id: str,
+        batch: int,
+        token: Optional[str],
+        waker: Optional[Callable[[], None]] = None,
+    ) -> Optional[List[Dict[str, Any]]]:
+        """One claim attempt; ``None`` when it found nothing and parked
+        ``waker`` instead of answering."""
+        worker = self._require(worker_id)
+        worker.last_seen = time.monotonic()
+        if token is not None and token == worker.last_claim_token:
+            _CLAIM_REPLAYS.inc()
+            return list(worker.last_claim_items)
+        items: List[Dict[str, Any]] = []
+        while worker.queued and len(items) < batch:
+            item = worker.queued.pop(0)
+            worker.claimed[item["id"]] = item
+            items.append(item)
+        if not items and waker is not None:
+            worker.wakers.append(waker)
+            return None
+        if token is not None:
+            worker.last_claim_token = token
+            worker.last_claim_items = list(items)
+        if items:
+            _CLAIM_BATCH_ITEMS.observe(float(len(items)))
+        return items
+
+    def close(self) -> None:
+        """Stop parking claims: every parked claim answers at once with
+        what is queued, and later claims answer without parking.  The
+        service calls this before it stops serving."""
+        with self._lock:
+            self._closed = True
+            wakers = []
+            for worker in self._workers.values():
+                wakers.extend(worker.wakers)
+                worker.wakers = []
+        for wake in wakers:
+            wake()
 
     def post_result(
         self,
@@ -239,7 +338,11 @@ class ShardBoard:
 
     def assign(self, worker_id: str, item: Dict[str, Any]) -> None:
         with self._lock:
-            self._require(worker_id).queued.append(item)
+            worker = self._require(worker_id)
+            worker.queued.append(item)
+            wakers, worker.wakers = worker.wakers, []
+        for wake in wakers:
+            wake()
 
     def abandon(self, worker_id: str, item_id: str) -> None:
         """Forget an item wherever it is; a late result will be ignored."""

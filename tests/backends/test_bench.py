@@ -99,97 +99,3 @@ class TestTiming:
             std_completion_time=0.1,
         )
         assert timing.throughput == float("inf")
-
-
-class TestSerializationBenchmark:
-    """The frame-vs-JSON microbench: report schema and gate logic.
-
-    The deterministic facts (byte counts, round-trip identity) are
-    asserted at full strength; the timing ratios are asserted only
-    loosely here — the committed CI gate (`repro bench --serialization`)
-    runs with enough rounds on a quiet runner to hold the real 3x/5x
-    thresholds, while a loaded pytest worker would make them flaky.
-    """
-
-    def test_report_schema_and_size_gate(self):
-        from repro.backends.bench import (
-            SERIALIZATION_SCHEMA_VERSION,
-            run_serialization_benchmark,
-        )
-
-        report = run_serialization_benchmark(rounds=5)
-        payload = report.to_dict()
-        assert payload["schema_version"] == SERIALIZATION_SCHEMA_VERSION
-        assert payload["rounds"] == 5
-        labels = [case["label"] for case in payload["cases"]]
-        assert "result-batch-8x1x250" in labels
-        gate = report.gate_case
-        # Byte counts are deterministic: the 3x size gate holds exactly.
-        assert gate.size_ratio >= 3.0
-        # Decode is timing: only sanity-checked here (see the docstring).
-        assert gate.decode_speedup > 1.0
-        for case in report.cases:
-            assert case.frame_bytes < case.json_bytes
-
-    def test_write_report(self, tmp_path):
-        from repro.backends.bench import run_serialization_benchmark
-
-        report = run_serialization_benchmark(rounds=2)
-        path = report.write(tmp_path / "BENCH_serialization.json")
-        parsed = json.loads(path.read_text())
-        assert parsed["cases"][0]["json_bytes"] > 0
-
-    def test_gate_problems_flag_each_threshold(self):
-        from repro.backends.bench import (
-            SerializationBenchmarkReport,
-            SerializationCase,
-            serialization_gate_problems,
-        )
-
-        def case(size_ratio, decode_speedup):
-            return SerializationCase(
-                label="result-batch-8x1x250", gate=True,
-                json_bytes=30000, frame_bytes=int(30000 / size_ratio),
-                json_decode_seconds=1e-3,
-                frame_decode_seconds=1e-3 / decode_speedup,
-                json_encode_seconds=1e-3, frame_encode_seconds=1e-4,
-            )
-
-        good = SerializationBenchmarkReport(cases=[case(3.2, 5.5)], rounds=1)
-        assert serialization_gate_problems(good) == []
-
-        small = SerializationBenchmarkReport(cases=[case(2.0, 5.5)], rounds=1)
-        (problem,) = serialization_gate_problems(small)
-        assert "size ratio" in problem
-
-        slow = SerializationBenchmarkReport(cases=[case(3.2, 4.0)], rounds=1)
-        (problem,) = serialization_gate_problems(slow)
-        assert "decode speedup" in problem
-
-        empty = SerializationBenchmarkReport(cases=[], rounds=1)
-        (problem,) = serialization_gate_problems(empty)
-        assert "no gate case" in problem
-
-    def test_non_gate_cases_are_informational_only(self):
-        from repro.backends.bench import (
-            SerializationBenchmarkReport,
-            SerializationCase,
-            serialization_gate_problems,
-        )
-
-        slow_context_case = SerializationCase(
-            label="single-item-1x250", gate=False,
-            json_bytes=6000, frame_bytes=5999,
-            json_decode_seconds=1e-3, frame_decode_seconds=1e-3,
-            json_encode_seconds=1e-3, frame_encode_seconds=1e-3,
-        )
-        gate_case = SerializationCase(
-            label="result-batch-8x1x250", gate=True,
-            json_bytes=30000, frame_bytes=9000,
-            json_decode_seconds=1e-3, frame_decode_seconds=1e-4,
-            json_encode_seconds=1e-3, frame_encode_seconds=1e-4,
-        )
-        report = SerializationBenchmarkReport(
-            cases=[slow_context_case, gate_case], rounds=1
-        )
-        assert serialization_gate_problems(report) == []

@@ -84,6 +84,20 @@ class TestTransientAnalysis:
         other = chain.absorption_cdf(0, times, method=method)
         assert np.allclose(reference, other, atol=1e-6)
 
+    def test_methods_agree_on_an_unsorted_grid_with_repeats(self):
+        # expm and ode step through the sorted distinct times; each answer
+        # must land back in the caller's order, repeats and t = 0 included.
+        chain = three_state_chain(a=1.5, b=0.7)
+        times = np.array([4.0, 0.0, 2.5, 4.0, 0.5, 0.0])
+        expected = 1.0 - (
+            0.7 * np.exp(-1.5 * times) - 1.5 * np.exp(-0.7 * times)
+        ) / (0.7 - 1.5)
+        for method in ("uniformization", "expm", "ode"):
+            distribution = chain.transient_distribution(0, times, method=method)
+            assert np.allclose(distribution[:, 2], expected, atol=1e-7), method
+            assert np.array_equal(distribution[1], [1.0, 0.0, 0.0]), method
+            assert np.array_equal(distribution[0], distribution[3]), method
+
     def test_cdf_monotone_and_bounded(self):
         chain = three_state_chain()
         cdf = chain.absorption_cdf(0, np.linspace(0, 20, 40))

@@ -14,13 +14,15 @@ class BackgroundService:
     A sibling of the harness in ``tests/service/conftest.py`` (conftest
     modules are not importable across test packages); keyword arguments go
     to :class:`ResultsService`, so the distributed tests can shrink worker
-    and scheduler timeouts.
+    and scheduler timeouts.  ``service`` is the live ResultsService (its
+    ``board`` lets a test queue work as the scheduler would).
     """
 
     def __init__(self, workers=None, **service_kwargs) -> None:
         self.workers = workers
         self.service_kwargs = service_kwargs
         self.url = None
+        self.service = None
         self._loop = None
         self._stop = None
         self._ready = threading.Event()
@@ -34,7 +36,9 @@ class BackgroundService:
 
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        service = ResultsService(workers=self.workers, **self.service_kwargs)
+        service = self.service = ResultsService(
+            workers=self.workers, **self.service_kwargs
+        )
         host, port = await service.start("127.0.0.1", 0)
         self.url = f"http://{host}:{port}"
         self._ready.set()

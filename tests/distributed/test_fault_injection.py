@@ -8,6 +8,7 @@ subprocess scenario — SIGKILL against a live ``repro worker`` — carries
 the ``slow`` marker and runs in the CI bench job.
 """
 
+import http.client
 import os
 import subprocess
 import sys
@@ -247,6 +248,52 @@ class TestBoardCrashMidBatch:
         # two unfinished batch items moved to the rescue worker.
         assert len(crasher_done) == 1
         assert sorted(crasher_done + rescue_done) == [0, 1, 2]
+
+
+class TestWorkerDiesWhileParked:
+    """A worker whose long-poll claim is parked when it dies must fail
+    over as a dead worker, not strand work in ``claimed``."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def test_item_queued_after_the_parked_claim_closed_fails_over(
+        self, background_service
+    ):
+        from repro.distributed.frames import FRAME_CONTENT_TYPE, encode_frame
+        from repro.service.client import ServiceClient
+
+        with background_service(worker_timeout=2.0) as service:
+            board = service.service.board
+            client = ServiceClient(service.url, timeout=10.0)
+            worker_id = client.register_worker("ghost")
+            claimed_at = time.monotonic()
+            connection = http.client.HTTPConnection(
+                client.host, client.port, timeout=10.0
+            )
+            connection.request(
+                "POST",
+                f"/v1/workers/{worker_id}/claim",
+                body=encode_frame({"batch": 1, "token": "t1", "wait": 5.0}),
+                headers={"Content-Type": FRAME_CONTENT_TYPE},
+            )
+            deadline = time.monotonic() + 5.0
+            while not board.worker_views()[0]["parked"]:
+                assert time.monotonic() < deadline, "the claim never parked"
+                time.sleep(0.01)
+            connection.close()  # the worker dies while parked
+            time.sleep(0.2)
+            board.assign(worker_id, {"id": "i1", "shard": 3})
+            time.sleep(0.3)  # the woken claim runs on the service's loop
+            (view,) = board.worker_views()
+            assert view["queued_items"] == 1 and view["claimed_items"] == 0
+            (outcome,) = board.collect(timeout=5.0)
+            failed_over_after = time.monotonic() - claimed_at
+        assert not outcome.ok and outcome.shard == 3
+        assert "stopped polling" in outcome.error
+        # worker_timeout after the last claim, plus collect's 1 s re-check.
+        assert failed_over_after < 2.0 + 1.5
 
 
 @pytest.mark.slow

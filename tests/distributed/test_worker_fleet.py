@@ -99,12 +99,12 @@ class TestWorkerLoopAgainstService:
     def isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
-    def _start_workers(self, url, count):
+    def _start_workers(self, url, count, max_idle=60):
         threads = [
             threading.Thread(
                 target=run_worker,
                 args=(url,),
-                kwargs=dict(name=f"test-{i}", max_idle=60, log=_quiet),
+                kwargs=dict(name=f"test-{i}", max_idle=max_idle, log=_quiet),
                 daemon=True,
             )
             for i in range(count)
@@ -153,6 +153,71 @@ class TestWorkerLoopAgainstService:
         assert fetched.scalars["mean_completion_time"] == pytest.approx(
             float(local.estimate.summary.mean)
         )
+
+    def test_fresh_fleet_job_needs_no_empty_claim(self, background_service):
+        # Every claim parks until its shard is queued, so a job computed
+        # point by point never sees a claim come back empty.
+        from repro.distributed.worker import _CLAIMS
+        from repro.service.client import ServiceClient
+
+        empty = _CLAIMS.labels(outcome="empty")
+        with background_service() as service:
+            client = ServiceClient(service.url, timeout=30.0)
+            self._start_workers(service.url, 1, max_idle=15)
+            board = service.service.board
+            deadline = time.monotonic() + 10
+            while not any(w["parked"] for w in board.worker_views()):
+                assert time.monotonic() < deadline, "the worker never parked"
+                time.sleep(0.01)
+            before = empty.get()
+            job = client.submit(family="gain-sweep", quick=True, executor="workers")
+            view = client.wait(job.id, timeout=120)
+            added = empty.get() - before
+        assert view.state == "done" and view.completed_points == 3
+        assert added == 0
+
+    def test_idle_worker_exits_at_max_idle(self, background_service):
+        from repro.distributed.work import warm_block_runtime
+
+        warm_block_runtime()  # time the claim loop, not first imports
+        with background_service() as service:
+            started = time.monotonic()
+            code = run_worker(service.url, name="idler", max_idle=1, log=_quiet)
+            elapsed = time.monotonic() - started
+        assert code == 0
+        # The claim parks for what is left of max_idle, not its full wait.
+        assert 1.0 <= elapsed < 1.5
+
+    def test_claim_whose_reply_is_lost_is_retried_under_its_token(
+        self, background_service, monkeypatch
+    ):
+        from repro.service.client import ServiceClient
+
+        claim_work_batch = ServiceClient.claim_work_batch
+        lost, retried = [], []
+
+        def lossy(self, worker_id, **kwargs):
+            claim = claim_work_batch(self, worker_id, **kwargs)
+            if lost and kwargs["token"] == lost[0][0]:
+                retried.append(claim.items)
+            elif claim.items and not lost:
+                # The board has moved the items to `claimed`; the reply
+                # never reaches the worker.
+                lost.append((kwargs["token"], claim.items))
+                raise ConnectionResetError("claim reply lost")
+            return claim
+
+        monkeypatch.setattr(ServiceClient, "claim_work_batch", lossy)
+        # A stranded item would sit in `claimed` until the shard timeout;
+        # the job must finish long before it.
+        with background_service(shard_options={"shard_timeout": 30.0}) as service:
+            client = ServiceClient(service.url, timeout=30.0)
+            self._start_workers(service.url, 1, max_idle=15)
+            job = client.submit(scenario="smoke", shards=2, executor="workers")
+            view = client.wait(job.id, timeout=20)
+        assert view.state == "done"
+        ((_token, items),) = lost
+        assert retried == [items]
 
     def test_executor_workers_without_fleet_fails_cleanly(self, background_service):
         from repro.service.client import ServiceClient

@@ -260,7 +260,7 @@ class TestFleetEndpoints:
 
     def test_claim_telemetry_lands_on_metrics_and_fleet(self, client):
         worker_id = client.register_worker("w-tele")
-        items = client.claim_work_batch(
+        claim = client.claim_work_batch(
             worker_id,
             telemetry={
                 "name": "w-tele",
@@ -268,7 +268,7 @@ class TestFleetEndpoints:
                 "metrics": self._worker_snapshot(blocks=7),
             },
         )
-        assert items == []  # nothing queued; the telemetry still lands
+        assert claim.items == []  # nothing queued; the telemetry still lands
 
         text = client.metrics()
         assert _series_value(
@@ -303,10 +303,10 @@ class TestFleetEndpoints:
 
     def test_malformed_telemetry_is_ignored_not_an_error(self, client):
         worker_id = client.register_worker("w-bad")
-        items = client.claim_work_batch(
+        claim = client.claim_work_batch(
             worker_id, telemetry={"metrics": "not-a-mapping"}
         )
-        assert items == []
+        assert claim.items == []
         fleet = client.fleet()
         assert all(w["name"] != "w-bad" for w in fleet["workers"])
 
