@@ -134,7 +134,9 @@ class DistributedSystem:
                 rng=self.streams.stream(f"node-{index}.service"),
                 preemption=preemption,
                 on_task_completed=self._on_task_completed,
-                on_queue_change=self._on_queue_change,
+                # Queue changes matter only to the trace, so an untraced
+                # run leaves the hook unset.
+                on_queue_change=self._on_queue_change if record_trace else None,
             )
             self.nodes.append(node)
 
@@ -215,8 +217,7 @@ class DistributedSystem:
                 self.trace.record_event(TraceEvent(self.env.now, "completion"))
 
     def _on_queue_change(self, node: ComputeElement) -> None:
-        if self.trace is not None:
-            self.trace.record_queue(node.index, self.env.now, node.queue_length)
+        self.trace.record_queue(node.index, self.env.now, node.queue_length)
 
     def _on_failure(self, node: ComputeElement, time: float) -> None:
         if self.trace is not None:

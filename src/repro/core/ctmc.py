@@ -32,6 +32,9 @@ from scipy.stats import poisson
 from repro.core.parameters import SystemParameters
 from repro.core.state import validate_work_state
 
+#: Poisson terms the uniformization series adds to its result at a time.
+_TERM_BLOCK = 256
+
 __all__ = [
     "AbsorbingCTMC",
     "CTMCBuildResult",
@@ -191,19 +194,32 @@ class AbsorbingCTMC:
         horizon = rate * t_max
         # Series length: cover the Poisson bulk plus a wide safety margin.
         n_terms = int(np.ceil(horizon + 10.0 * np.sqrt(horizon + 1.0) + 20.0))
-        weights = poisson.pmf(np.arange(n_terms + 1)[None, :], rate * times[:, None])
 
+        # Successive term vectors are stacked into blocks, and each block
+        # joins the (times x states) result in one matrix product instead
+        # of one dense outer-product update per term.  A block's Poisson
+        # weights are computed when it starts, so the (times x terms)
+        # weight matrix is never held whole.
+        step = sparse.csr_matrix(jump.T)
+        mean_jumps = rate * times[:, None]
         result = np.zeros((len(times), n))
+        block = np.empty((min(_TERM_BLOCK, n_terms + 1), n))
         vector = np.zeros(n)
         vector[start] = 1.0
         remaining = np.ones(len(times))
-        for k in range(n_terms + 1):
-            w = weights[:, k]
-            result += w[:, None] * vector[None, :]
-            remaining -= w
-            if np.all(remaining < tolerance):
+        for first in range(0, n_terms + 1, len(block)):
+            terms = np.arange(first, min(first + len(block), n_terms + 1))
+            weights = poisson.pmf(terms[None, :], mean_jumps)
+            for used in range(1, len(terms) + 1):
+                block[used - 1] = vector
+                remaining -= weights[:, used - 1]
+                converged = bool(np.all(remaining < tolerance))
+                if converged:
+                    break
+                vector = step.dot(vector)
+            result += weights[:, :used] @ block[:used]
+            if converged:
                 break
-            vector = jump.T.dot(vector)
         # Renormalise the truncated series (the missing mass is <= tolerance
         # for every evaluation time unless the loop exhausted n_terms).
         totals = result.sum(axis=1, keepdims=True)

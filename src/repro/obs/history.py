@@ -15,7 +15,9 @@ schema-versioned JSON records under ``<cache>/history/``:
   (rename is atomic; readers holding an open handle are unaffected) and a
   fresh ``current.ndjson`` starts.
 * **query** walks segments newest-first with filters on any record field
-  plus ``since``/``until`` time bounds, stopping early at ``limit``.
+  plus ``since``/``until`` time bounds, stopping early at ``limit``.  It
+  byte-searches each segment for the filter values every match contains
+  and JSON-parses only the lines that hold them.
 * **prune** compacts: rewrite the surviving records into one fresh
   segment and delete the rest, under the same lock appends take.
 
@@ -42,6 +44,7 @@ import os
 import subprocess
 import time
 import uuid
+from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -262,25 +265,15 @@ class RunLedger:
     # -- reading -----------------------------------------------------------
 
     def _iter_segment(self, path: Path) -> Iterator[Dict[str, Any]]:
-        """Records in one segment, skipping torn/corrupt lines.
+        """Records in one segment, oldest first, skipping torn/corrupt lines.
 
         A truncated trailing line is the expected crash artifact of an
         interrupted append — tolerated, never fatal.
         """
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(record, dict):
-                        yield record
-        except OSError:
-            return
+        for line in _read_segment(path).split(b"\n"):
+            record = _parse_line(line)
+            if record is not None:
+                yield record
 
     @staticmethod
     def _matches(
@@ -319,21 +312,35 @@ class RunLedger:
         ``filters`` are equality constraints on record fields (``kind``,
         ``scenario``, ``backend``, ``executor``, ``spec_hash``, …);
         ``since``/``until`` bound the ``ts`` stamp.  With ``limit`` the
-        newest-first walk stops early — the common "last N comparable
-        runs" read touches only the newest segment(s).
+        newest-first walk stops at the ``limit``-th match — the common
+        "last N comparable runs" read touches only the newest segment(s).
+
+        Each segment is read once as bytes and searched backwards for the
+        longest of the filter values every match must contain verbatim
+        (see :func:`_needles`); only lines holding every such value are
+        JSON-parsed, and :meth:`_matches` still decides each one.  So the
+        answer is exactly that of parsing every line, at the cost of a
+        byte search plus one parse per candidate.
         """
-        out: List[Dict[str, Any]] = []
+        stop = None if limit is None else max(limit, 0)
+        found = list(islice(self._newest_first(filters, since, until), stop))
+        return found if newest_first else found[::-1]
+
+    def _newest_first(
+        self,
+        filters: Dict[str, Any],
+        since: Optional[float],
+        until: Optional[float],
+    ) -> Iterator[Dict[str, Any]]:
+        """Every matching record, newest first, parsed as it is reached."""
+        needles = _needles(filters)
         for path in reversed(self.segments()):
-            segment = [
-                record
-                for record in self._iter_segment(path)
-                if self._matches(record, filters, since, until)
-            ]
-            out.extend(reversed(segment))
-            if limit is not None and len(out) >= limit:
-                out = out[:limit]
-                break
-        return out if newest_first else out[::-1]
+            for line in _candidate_lines(_read_segment(path), needles):
+                record = _parse_line(line)
+                if record is not None and self._matches(
+                    record, filters, since, until
+                ):
+                    yield record
 
     def get(self, record_id: str) -> Optional[Dict[str, Any]]:
         """The record with this id, or ``None``."""
@@ -381,6 +388,90 @@ class RunLedger:
                     path.unlink(missing_ok=True)
             scratch.replace(self.current_path)
             return len(records), total - len(records)
+
+
+#: String filters that match a stored value whose JSON differs from its
+#: ``str()``: ``str(True)`` is ``"True"`` but the ledger holds ``true``.
+_NOT_VERBATIM = frozenset(("True", "False", "None", "inf", "-inf", "nan"))
+
+
+def _needles(filters: Dict[str, Any]) -> List[bytes]:
+    """Byte strings every record matching ``filters`` contains verbatim.
+
+    A string filter matches a stored string equal to it or a stored
+    non-string whose ``str()`` equals it (:meth:`RunLedger._matches`).
+    The ledger's writer (``json.dumps``, ASCII-escaped) writes such a
+    string verbatim when it needs no escape, and a number as its
+    ``str()``; the values whose ``str()`` is not their JSON are
+    ``True``/``False``/``None``, non-finite floats, lists and dicts,
+    hence the exclusions.  Other filter types compare by ``==``
+    (``4 == 4.0 == True``) and give no needle.
+    """
+    return [
+        wanted.encode("ascii")
+        for wanted in filters.values()
+        if isinstance(wanted, str)
+        and wanted
+        and wanted not in _NOT_VERBATIM
+        and wanted[0] not in "[{"
+        and json.dumps(wanted)[1:-1] == wanted
+    ]
+
+
+def _read_segment(path: Path) -> bytes:
+    """A segment's bytes with every line ending rewritten to ``\\n``.
+
+    Text-mode reads end a line at ``\\n``, ``\\r\\n`` or a bare ``\\r``;
+    normalising once lets every reader split on ``\\n`` alone.  A segment
+    that cannot be read (say, one a concurrent prune removed) reads empty.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return b""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _candidate_lines(data: bytes, needles: List[bytes]) -> Iterator[bytes]:
+    """The lines of ``data`` that contain every needle, last line first.
+
+    ``rfind`` of the longest needle jumps from one candidate line straight
+    to the previous one, so a line without it is never split out, decoded
+    or parsed.  With no needle every line is a candidate.
+    """
+    if not needles:
+        yield from reversed(data.split(b"\n"))
+        return
+    key = max(needles, key=len)
+    end = len(data)
+    while True:
+        hit = data.rfind(key, 0, end)
+        if hit < 0:
+            return
+        start = data.rfind(b"\n", 0, hit) + 1
+        stop = data.find(b"\n", hit, end)
+        line = data[start:end if stop < 0 else stop]
+        if all(needle in line for needle in needles):
+            yield line
+        end = start
+
+
+def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """One line's record, or ``None`` for a blank, torn or corrupt line.
+
+    Decodes as the ledger's text-mode reads always have: UTF-8 with
+    ``replace``, surrounding whitespace stripped.
+    """
+    text = line.decode("utf-8", "replace").strip()
+    if not text:
+        return None
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def default_ledger() -> RunLedger:

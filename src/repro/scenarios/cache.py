@@ -15,27 +15,34 @@ served a stale result computed by another.
 
 The cache root is, in order of precedence, the ``root`` constructor
 argument, the ``REPRO_CACHE_DIR`` environment variable, or
-``~/.cache/repro``.  Corrupt or partially-written entries are treated as
-misses and overwritten on the next store.
+``~/.cache/repro``.  Corrupt or partially-written entries — a torn or
+corrupt ``arrays.npz`` included — are treated as misses and overwritten on
+the next store.
 
 numpy is imported lazily, only where arrays are actually (de)serialized:
 the metadata paths (:meth:`ResultCache.contains`, :meth:`ResultCache.peek`,
 :meth:`ResultCache.find_hash`, :meth:`ResultCache.array_names`) never touch
-the numerical stack, which keeps cache-hit lookups — and the results
-service built on them — importable without numpy/scipy.
+the numerical stack, and a :meth:`ResultCache.get` hit parses an array
+only when it is first read (:class:`CachedArrays`).  That keeps cache-hit
+lookups — the CLI's cached re-runs and the results service built on
+them — free of numpy/scipy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import tempfile
+import threading
 import zipfile
+import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -80,6 +87,22 @@ DEFAULT_CACHE_DIR = "~/.cache/repro"
 #: execution backend.
 CACHE_FORMAT_VERSION = 2
 
+#: The first bytes of every ``.npy`` member of ``arrays.npz``.
+_NPY_MAGIC = b"\x93NUMPY"
+
+#: What reading a torn or corrupt ``arrays.npz`` raises: zipfile's own
+#: errors (bad CRC, no central directory, a short member) and what a
+#: flipped header byte leads to (an undecodable name, an "encrypted" or
+#: unknown-compression member, a bad deflate stream).
+_NPZ_ERRORS = (
+    OSError,
+    ValueError,
+    EOFError,
+    RuntimeError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
 
 def cache_key(spec: ScenarioSpec) -> str:
     """The on-disk key for ``spec``: content hash salted with provenance.
@@ -109,7 +132,7 @@ class ScenarioResult:
     kind: str
     spec_hash: str
     scalars: Dict[str, Any] = field(default_factory=dict)
-    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    arrays: Mapping[str, np.ndarray] = field(default_factory=dict)
     rendered: str = ""
     runtime_seconds: float = 0.0
     from_cache: bool = False
@@ -135,6 +158,61 @@ class ScenarioResult:
             and np.array_equal(self.arrays[k], other.arrays[k])
             for k in self.arrays
         )
+
+
+class CachedArrays(Mapping):
+    """The arrays of a cache hit: verified bytes, parsed on first access.
+
+    Built from one read of ``arrays.npz`` whose members have all passed
+    zipfile's CRC check, so it no longer depends on the file: a later
+    ``evict`` or ``put`` cannot change it.  Each array is parsed with
+    ``np.load`` the first time it is read, and its bytes are dropped
+    then; a hit whose arrays are never read imports no numpy.  Read-only;
+    pickles and copies as a plain ``dict`` of arrays.
+    """
+
+    def __init__(self, members: Dict[str, bytes]) -> None:
+        self._names = tuple(members)
+        self._raw = dict(members)
+        self._parsed: Dict[str, "np.ndarray"] = {}
+        self._lock = threading.Lock()
+
+    @classmethod
+    def from_npz(cls, data: bytes) -> "CachedArrays":
+        """Verify an ``arrays.npz`` image; raises one of ``_NPZ_ERRORS``."""
+        members: Dict[str, bytes] = {}
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            for info in archive.infolist():
+                raw = archive.read(info)  # read to its end: CRC-checked
+                name = info.filename
+                if not name.endswith(".npy") or not raw.startswith(_NPY_MAGIC):
+                    raise ValueError(f"{name!r} is not an .npy member")
+                members[name[: -len(".npy")]] = raw
+        return cls(members)
+
+    def __getitem__(self, name: str) -> "np.ndarray":
+        with self._lock:
+            if name not in self._parsed:
+                raw = self._raw.pop(name)
+                import numpy as np
+
+                self._parsed[name] = np.load(io.BytesIO(raw))
+            return self._parsed[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __reduce__(self):
+        return dict, (dict(self.items()),)
+
+    def __repr__(self) -> str:
+        return f"CachedArrays({list(self._names)!r})"
 
 
 class ResultCache:
@@ -236,27 +314,35 @@ class ResultCache:
         _CACHE_READ_BYTES.labels(store="result").inc(len(raw))
         return meta
 
-    def array_names(self, key: str) -> Tuple[str, ...]:
-        """Names of the arrays stored under ``key``, without loading them.
+    def load_arrays(self, key: str) -> Optional[CachedArrays]:
+        """The arrays stored under ``key``, or ``None`` if they are corrupt.
 
-        ``arrays.npz`` is a zip of ``<name>.npy`` members, so the listing
-        needs only :mod:`zipfile` — the service advertises available arrays
-        on cache hits without importing numpy.
+        The one ``arrays.npz`` reader: the file is read once and every
+        member is CRC-checked and must be an ``.npy``; the arrays are
+        parsed on first access (:class:`CachedArrays`), so this imports
+        no numpy.  An entry without arrays gives an empty mapping.
         """
-        npz_path = self.entry_dir(key) / "arrays.npz"
-        if not npz_path.is_file():
-            return ()
         try:
-            with zipfile.ZipFile(npz_path) as archive:
-                return tuple(
-                    sorted(
-                        name[: -len(".npy")]
-                        for name in archive.namelist()
-                        if name.endswith(".npy")
-                    )
-                )
-        except (OSError, zipfile.BadZipFile):
-            return ()
+            data = (self.entry_dir(key) / "arrays.npz").read_bytes()
+        except FileNotFoundError:
+            return CachedArrays({})
+        except OSError:
+            return None
+        try:
+            arrays = CachedArrays.from_npz(data)
+        except _NPZ_ERRORS:
+            return None
+        _CACHE_READ_BYTES.labels(store="result").inc(len(data))
+        return arrays
+
+    def array_names(self, key: str) -> Tuple[str, ...]:
+        """Names of the arrays stored under ``key``, without parsing them.
+
+        Empty when the entry has no arrays or its ``arrays.npz`` is
+        corrupt — the service advertises available arrays on cache hits
+        without importing numpy.
+        """
+        return tuple(sorted(self.load_arrays(key) or ()))
 
     def _hash_index_path(self, content_hash: str) -> Path:
         """Pointer file mapping a raw content hash to its cache key."""
@@ -316,7 +402,7 @@ class ResultCache:
         self,
         meta: Dict[str, Any],
         spec: Optional[ScenarioSpec] = None,
-        arrays: Optional[Dict[str, "np.ndarray"]] = None,
+        arrays: Optional[Mapping[str, "np.ndarray"]] = None,
     ) -> ScenarioResult:
         # The requesting spec's name wins over the stored one: renames keep
         # cached results valid (the name is excluded from the content hash),
@@ -349,28 +435,18 @@ class ResultCache:
         return self._result_from_meta(meta, spec=spec)
 
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
-        """Load the cached result for ``spec``, or ``None`` on a miss."""
+        """Load the cached result for ``spec``, or ``None`` on a miss.
+
+        A corrupt ``meta.json`` or ``arrays.npz`` is a miss.  The arrays
+        come back verified but unparsed (:meth:`load_arrays`).
+        """
         key = self.key_for(spec)
         meta = self.load_meta(key)
-        if meta is None:
+        arrays = None if meta is None else self.load_arrays(key)
+        if arrays is None:
             self.misses += 1
             _CACHE_REQUESTS.labels(store="result", outcome="miss").inc()
             return None
-        arrays: Dict[str, "np.ndarray"] = {}
-        npz_path = self.entry_dir(key) / "arrays.npz"
-        if npz_path.is_file():
-            import numpy as np
-
-            try:
-                with np.load(npz_path) as npz:
-                    arrays = {name: npz[name] for name in npz.files}
-                _CACHE_READ_BYTES.labels(store="result").inc(
-                    npz_path.stat().st_size
-                )
-            except (OSError, ValueError):
-                self.misses += 1
-                _CACHE_REQUESTS.labels(store="result", outcome="miss").inc()
-                return None
         self.hits += 1
         _CACHE_REQUESTS.labels(store="result", outcome="hit").inc()
         return self._result_from_meta(meta, spec=spec, arrays=arrays)

@@ -494,23 +494,22 @@ class ResultsService:
             # Loading + listifying arrays (and serializing the resulting
             # payload) can be megabytes of work; keep it off the event loop
             # so health probes and job polls stay responsive.
-            payload["array_values"] = await asyncio.to_thread(
-                self._array_values, key
-            )
+            values = await asyncio.to_thread(self._array_values, key)
+            if values is None:
+                raise HTTPError(404, f"no cached result for content hash {content_hash}")
+            payload["array_values"] = values
             return await asyncio.to_thread(
                 Response.json, payload, 200, {"ETag": etag}
             )
         return Response.json(payload, headers={"ETag": etag})
 
-    def _array_values(self, key: str) -> Dict[str, Any]:
-        """Inline array contents (the one numpy-aware read, opt-in only)."""
-        import numpy as np
-
-        npz_path = self.cache.entry_dir(key) / "arrays.npz"
-        if not npz_path.is_file():
-            return {}
-        with np.load(npz_path) as npz:
-            return {name: npz[name].tolist() for name in npz.files}
+    def _array_values(self, key: str) -> Optional[Dict[str, Any]]:
+        """Inline array contents (the one numpy-aware read, opt-in only);
+        ``None`` when the entry's ``arrays.npz`` is torn or corrupt."""
+        arrays = self.cache.load_arrays(key)
+        if arrays is None:
+            return None
+        return {name: arrays[name].tolist() for name in arrays}
 
 
 def _frame_payload(request: Request) -> Dict[str, Any]:

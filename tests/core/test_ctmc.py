@@ -121,6 +121,42 @@ class TestTransientAnalysis:
         with pytest.raises(ValueError):
             two_state_chain().transient_distribution(0, [1.0], method="laplace")
 
+    def test_uniformization_blocks_match_the_term_by_term_series(self):
+        # The series joins the result a block of terms at a time; the
+        # plain per-term loop it replaced is the reference.  Only the
+        # summation order differs: ~1e3 terms of probabilities <= 1 stay
+        # within 1e3 * eps of each other.
+        from scipy.stats import poisson
+
+        rng = np.random.default_rng(4)
+        rates = rng.uniform(0.5, 3.0, size=(6, 6)) * (rng.random((6, 6)) < 0.5)
+        np.fill_diagonal(rates, 0.0)
+        rates[5] = 0.0
+        rates[4, 5] = 1.0  # a path to absorption from every state
+        generator = sparse.csr_matrix(rates - np.diag(rates.sum(axis=1)))
+        chain = AbsorbingCTMC(generator, np.arange(6) == 5)
+        times = np.concatenate([np.linspace(0.0, 300.0, 50), [7.0, 0.0]])
+
+        rate = chain.uniformization_rate()
+        jump = sparse.identity(6, format="csr") + chain.generator / rate
+        horizon = rate * times.max()
+        n_terms = int(np.ceil(horizon + 10.0 * np.sqrt(horizon + 1.0) + 20.0))
+        weights = poisson.pmf(np.arange(n_terms + 1)[None, :], rate * times[:, None])
+        expected = np.zeros((len(times), 6))
+        vector = np.eye(6)[0]
+        remaining = np.ones(len(times))
+        for k in range(n_terms + 1):
+            expected += weights[:, k][:, None] * vector[None, :]
+            remaining -= weights[:, k]
+            if np.all(remaining < 1e-10):
+                break
+            vector = jump.T.dot(vector)
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert k > 512  # the blocked series spans several blocks
+
+        got = chain.transient_distribution(0, times, method="uniformization")
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e3 * np.finfo(float).eps)
+
     def test_mean_from_cdf_matches_direct_solution(self):
         chain = three_state_chain(a=1.0, b=2.0)
         times = np.linspace(0, 60, 2000)

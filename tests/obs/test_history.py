@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +142,172 @@ class TestCorruptionTolerance:
             handle.write(b"\x00\xff garbage \xfe\n")
         _run(ledger)
         assert len(ledger.query()) == 2
+
+
+def _full_parse_records(ledger):
+    """Every record, oldest first, read the way the ledger always read:
+    text mode (universal newlines), UTF-8 with ``replace``, stripped."""
+    records = []
+    for path in ledger.segments():
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict):
+                    records.append(record)
+    return records
+
+
+def _reference_query(records, limit, newest_first, since, until, filters):
+    """``RunLedger.query``'s answer from a full parse, filtered by
+    ``_matches``."""
+    found = [
+        r
+        for r in reversed(records)
+        if RunLedger._matches(r, filters, since, until)
+    ]
+    if limit is not None:
+        found = found[:limit]
+    return found if newest_first else found[::-1]
+
+
+_HASHES = ("a" * 64, "0123abcd" * 8, "f" * 64)
+
+
+def _record_line(rng, ts, ensure_ascii=True, **fields):
+    record = {
+        "kind": "run",
+        "scenario": rng.choice(("smoke", "größe-ü")),
+        "spec_hash": rng.choice(_HASHES),
+        "ts": ts,
+    }
+    record.update(fields)
+    return json.dumps(record, sort_keys=True, ensure_ascii=ensure_ascii).encode()
+
+
+def _stray_lines(rng, ts):
+    """Bytes a crash or a stray writer can leave between appends."""
+    return [
+        # a torn line (the next append newline-terminates it)
+        _record_line(rng, ts)[:-25],
+        # binary garbage with bare carriage returns and needle text
+        b"\x00\xff smoke \r\x8a run reference " + _HASHES[0].encode() + b"\r\n",
+        # two records split by a bare carriage return
+        _record_line(rng, ts) + b"\r" + _record_line(rng, ts + 0.5) + b"\n",
+        # raw UTF-8 (the writer escapes it, a hand edit may not), with a
+        # character str.splitlines() would split at but text mode does not
+        _record_line(rng, ts, ensure_ascii=False, scenario="größe-ü")
+        + b"\n"
+        + _record_line(rng, ts, ensure_ascii=False, scenario="a\u2028b")
+        + b"\n",
+        # an undecodable byte inside a string still parses after `replace`
+        b'{"kind": "run", "scenario": "\xff", "ts": ' + str(ts).encode() + b"}\n",
+        # whitespace that str.strip() removes and json.loads alone refuses
+        b"\x0b\x1c" + _record_line(rng, ts) + b"  \n",
+        # JSON that is not a record
+        b'["run", "smoke"]\n"run"\n',
+    ]
+
+
+def _random_ledger(root, rng):
+    ledger = RunLedger(root, max_segment_bytes=2500)
+    count = rng.randint(16, 20)
+    strays = dict(enumerate(_stray_lines(rng, 0.0)))
+    after = dict(zip(rng.sample(range(count), len(strays)), strays))
+    ids = []
+    for i in range(count):
+        ts = 1000.0 + i
+        record = ledger.append({
+            "kind": rng.choice(("run", "run", "bench")),
+            "scenario": rng.choice(("smoke", "fig3", "größe-ü", "None", "True")),
+            "backend": rng.choice(("reference", "vectorized")),
+            "executor": rng.choice(("inline", "process")),
+            "spec_hash": rng.choice(_HASHES + (None,)),
+            "effective_cpus": rng.choice((1, 2, 4, 4.0, True, None, "4")),
+            "tags": rng.choice((["x"], "['x']", None)),
+            # filter values that also turn up in fields no filter names
+            "timings": {
+                "label": rng.choice(("vectorized", "inline", "smoke")),
+                "parent": rng.choice(_HASHES),
+            },
+            "ts": ts,
+        })
+        ids.append(record["id"])
+        if i in after:
+            with open(ledger.current_path, "ab") as handle:
+                handle.write(_stray_lines(rng, ts + 0.25)[after[i]])
+    with open(ledger.current_path, "ab") as handle:  # a torn tail
+        handle.write(_record_line(rng, 2000.0)[:-10])
+    return ledger, ids
+
+
+_FILTERS = (
+    ("kind", "run"), ("kind", "bench"),
+    ("scenario", "smoke"), ("scenario", "größe-ü"), ("scenario", "None"),
+    ("scenario", "True"), ("scenario", "\ufffd"),
+    ("backend", "vectorized"), ("executor", "inline"),
+    ("spec_hash", _HASHES[0]), ("spec_hash", None),
+    ("effective_cpus", 4), ("effective_cpus", 1), ("effective_cpus", "4"),
+    ("effective_cpus", "4.0"), ("effective_cpus", "True"),
+    ("effective_cpus", "None"), ("tags", "['x']"),
+)
+
+
+class TestQueryMatchesFullParse:
+    """The byte-searching query answers exactly what parsing every line
+    and filtering with ``_matches`` answers."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_ledgers(self, tmp_path, seed):
+        rng = random.Random(seed)
+        ledger, ids = _random_ledger(tmp_path / "history", rng)
+        assert 2 <= len(ledger.segments()) <= 3
+        records = _full_parse_records(ledger)
+        pool = _FILTERS + (("id", rng.choice(ids)),)
+        subsets = [()] + [
+            pair
+            for size in (1, 2)
+            for pair in itertools.combinations(pool, size)
+            if len({field for field, _ in pair}) == size
+        ]
+        windows = ((None, None), (1005.0, None), (None, 1010.0), (1003.0, 1012.0))
+        for subset, limit, newest_first, (since, until) in itertools.product(
+            subsets, (None, 0, 1, 3), (True, False), windows
+        ):
+            filters = dict(subset)
+            got = ledger.query(
+                limit=limit, newest_first=newest_first,
+                since=since, until=until, **filters,
+            )
+            want = _reference_query(
+                records, limit, newest_first, since, until, filters
+            )
+            assert got == want, (subset, limit, newest_first, since, until)
+
+    def test_limited_query_parses_only_what_it_returns(
+        self, ledger, monkeypatch
+    ):
+        for i in range(50):
+            _run(ledger, scenario=f"s{i}")
+        assert len(ledger.segments()) == 1
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr("repro.obs.history.json.loads", counting_loads)
+        for filters in ({}, {"kind": "run", "backend": "reference"}):
+            parsed.clear()
+            found = ledger.query(limit=3, **filters)
+            assert [r["scenario"] for r in found] == ["s49", "s48", "s47"]
+            assert len(parsed) <= 3
 
 
 class TestConcurrentAppends:

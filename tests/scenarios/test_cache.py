@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.scenarios.cache import CACHE_DIR_ENV, ResultCache, ScenarioResult, cache_key
+from repro.scenarios.cache import (
+    CACHE_DIR_ENV,
+    CachedArrays,
+    ResultCache,
+    ScenarioResult,
+    cache_key,
+)
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
 
 
@@ -135,6 +141,30 @@ class TestMaintenance:
         (entry / "meta.json").write_text("{ not json")
         assert cache.get(spec) is None
 
+    @pytest.mark.parametrize("damage", ["torn", "flipped"])
+    def test_corrupt_arrays_read_as_miss_until_rewritten(
+        self, tmp_path, spec, damage
+    ):
+        cache = ResultCache(tmp_path)
+        original = make_result(spec)
+        entry = cache.put(spec, original)
+        npz = entry / "arrays.npz"
+        data = bytearray(npz.read_bytes())
+        if damage == "torn":
+            del data[len(data) // 2:]  # a write cut short
+        else:
+            # One flipped bit in the stored sample: only its CRC tells.
+            stored = original.arrays["completion_times"].tobytes()
+            data[data.index(stored) + 3] ^= 0x10
+        npz.write_bytes(bytes(data))
+
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(spec, original)  # what a recompute stores
+        reloaded = cache.get(spec)
+        assert reloaded.identical_to(original)
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_overwrite_replaces_entry(self, tmp_path, spec):
         cache = ResultCache(tmp_path)
         cache.put(spec, make_result(spec))
@@ -142,6 +172,110 @@ class TestMaintenance:
         updated.rendered = "updated"
         cache.put(spec, updated)
         assert cache.get(spec).rendered == "updated"
+
+
+class TestHitArrays:
+    """A hit's arrays are verified at ``get`` and parsed on first access."""
+
+    def test_hit_arrays_match_the_computed_result(self, tmp_path):
+        import pickle
+
+        from repro.scenarios import Orchestrator
+        from repro.scenarios.registry import resolve
+
+        with Orchestrator(cache=ResultCache(tmp_path)) as orchestrator:
+            computed = orchestrator.run(resolve("smoke"))
+            hit = orchestrator.run(resolve("smoke"))
+        assert hit.from_cache and not computed.from_cache
+        assert isinstance(hit.arrays, CachedArrays)
+        got = hit.arrays["completion_times"]
+        want = computed.arrays["completion_times"]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        clone = pickle.loads(pickle.dumps(hit))
+        assert type(clone.arrays) is dict
+        assert hit.identical_to(computed) and clone.identical_to(computed)
+
+    def test_hit_arrays_outlive_their_entry(self, tmp_path, spec):
+        cache = ResultCache(tmp_path)
+        original = make_result(spec)
+        cache.put(spec, original)
+        hit = cache.get(spec)
+        assert list(hit.arrays) == ["completion_times", "grid"]
+        assert "grid" in hit.arrays and "missing" not in hit.arrays
+        cache.evict(spec)
+        other = make_result(spec)
+        other.arrays = {"grid": np.zeros(5, dtype=np.int64)}
+        cache.put(spec, other)
+        assert hit.identical_to(original)
+        with pytest.raises(TypeError):
+            hit.arrays["grid"] = np.zeros(1)
+        with pytest.raises(KeyError):
+            hit.arrays["missing"]
+
+    def test_concurrent_first_reads_parse_each_array_once(self, tmp_path, spec):
+        import sys
+        import threading
+
+        cache = ResultCache(tmp_path)
+        cache.put(spec, make_result(spec))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                arrays = cache.get(spec).arrays
+                seen, errors = [], []
+
+                def read():
+                    try:
+                        seen.append(tuple(id(arrays[name]) for name in arrays))
+                    except Exception as error:  # a lost update surfaces here
+                        errors.append(error)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert len(set(seen)) == 1 and len(seen) == 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cached_cli_rerun_never_imports_numpy(self, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(repo / "src"),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+            REPRO_HISTORY_DIR=str(tmp_path / "history"),
+        )
+        argv = ["scenario", "run", "smoke", "--seed", "5"]
+        cold = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code, exit.code\n"
+            "assert 'numpy' not in sys.modules, 'numpy on the cached re-run'\n"
+        )
+        warm = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert ", cached)" in warm.stdout.splitlines()[0]
+        # The body after the timing header is the cold run's, byte for byte.
+        assert warm.stdout.splitlines()[1:] == cold.stdout.splitlines()[1:]
 
 
 class TestEnvironment:

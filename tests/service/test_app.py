@@ -337,6 +337,22 @@ class TestResultEndpoint:
         assert len(values) == 5  # smoke runs 5 realisations
         assert all(isinstance(v, float) for v in values)
 
+    def test_arrays_of_a_corrupt_entry_are_a_404(self, client, tmp_path):
+        from repro.scenarios.cache import ResultCache
+
+        job = client.submit(scenario="smoke")
+        done = client.wait(job.id, timeout=60)
+        (content_hash,) = done.content_hashes
+        cache = ResultCache(tmp_path / "cache")
+        npz = cache.entry_dir(cache.find_hash(content_hash)) / "arrays.npz"
+        npz.write_bytes(npz.read_bytes()[:-40])  # torn: no central directory
+
+        with pytest.raises(ServiceError) as excinfo:
+            client.result(content_hash, include_arrays=True)
+        assert excinfo.value.status == 404
+        # The metadata view still answers, advertising no readable arrays.
+        assert client.result(content_hash).arrays == ()
+
     def test_arrays_flag_respects_falsy_values(self, client):
         # `?arrays=0` means "names only" — it must not inline values (or
         # drag numpy onto the request path of a fresh server).
