@@ -55,6 +55,7 @@ delta-growth.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -1056,6 +1057,23 @@ def _setup_logging(level=None, worker_id=None) -> None:
 
 
 def main(argv=None) -> int:
+    """The CLI entry point (``python -m repro`` and the ``repro`` script).
+
+    A reader that stops early (``repro scenario list | head -n 1``) ends
+    the run quietly, as the Python docs recommend for a closed pipe:
+    stdout is pointed at devnull, so the interpreter's final flush cannot
+    raise again, and the exit status is 1.
+    """
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "scenario":
         _setup_logging()

@@ -11,9 +11,14 @@ become near-zero-copy buffer reads instead of one ``json.loads`` per
 block.  Appends are crash-safe by ordering: the frame is written and
 flushed before its index line, so a torn write leaves either an
 unreferenced frame or a partial (newline-less) index line, both of which
-readers skip.  Anything else under the store root (e.g. per-block JSON
-documents from older releases) is ignored: a miss recomputes the block
-bit-identically.
+readers skip.
+
+Every stored frame carries a CRC-32 of its bytes and its own key, so a
+changed byte anywhere in a segment — or an index line pointing at the
+wrong bytes — reads as a miss, never as a different block; the index
+lines need no checksum of their own.  Anything else under the store root
+(e.g. per-block JSON documents or frames from older releases) is ignored
+the same way: a miss recomputes the block bit-identically.
 
 The store lives under ``<cache root>/shards/`` so evicting the scenario
 cache and the shard cache together is one directory removal, and shares

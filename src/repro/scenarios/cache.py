@@ -15,9 +15,15 @@ served a stale result computed by another.
 
 The cache root is, in order of precedence, the ``root`` constructor
 argument, the ``REPRO_CACHE_DIR`` environment variable, or
-``~/.cache/repro``.  Corrupt or partially-written entries — a torn or
-corrupt ``arrays.npz`` included — are treated as misses and overwritten on
-the next store.
+``~/.cache/repro``.
+
+Every entry is checksummed: ``meta.json`` wraps its body in a
+``{"crc32": ..., "meta": ...}`` envelope whose CRC-32 covers the body's
+bytes as written, and the body records the byte size and CRC-32 of
+``arrays.npz``.  Both are checked before ``json.loads`` or ``zipfile``
+sees a byte, so a changed byte anywhere in an entry — like a torn,
+partially-written or older-format entry — reads as a miss, which the next
+store overwrites, never as a different number.
 
 numpy is imported lazily, only where arrays are actually (de)serialized:
 the metadata paths (:meth:`ResultCache.contains`, :meth:`ResultCache.peek`,
@@ -84,8 +90,16 @@ DEFAULT_CACHE_DIR = "~/.cache/repro"
 #: stale entries read as misses instead of loading garbage.
 #:
 #: History: 2 — ``meta.json`` records the producing package version and
-#: execution backend.
-CACHE_FORMAT_VERSION = 2
+#: execution backend; 3 — ``meta.json`` carries a CRC-32 of its body and
+#: the size and CRC-32 of ``arrays.npz``.
+CACHE_FORMAT_VERSION = 3
+
+#: The fixed head of every ``meta.json``: the envelope's CRC-32 (of the
+#: body bytes that follow it) in eight lower-case hex digits.  The file
+#: ends with :data:`_META_TAIL`, closing the envelope.
+_META_HEAD = b'{"crc32": "%08x", "meta": '
+_META_HEAD_LEN = len(_META_HEAD % 0)
+_META_TAIL = b"}\n"
 
 #: The first bytes of every ``.npy`` member of ``arrays.npz``.
 _NPY_MAGIC = b"\x93NUMPY"
@@ -93,7 +107,9 @@ _NPY_MAGIC = b"\x93NUMPY"
 #: What reading a torn or corrupt ``arrays.npz`` raises: zipfile's own
 #: errors (bad CRC, no central directory, a short member) and what a
 #: flipped header byte leads to (an undecodable name, an "encrypted" or
-#: unknown-compression member, a bad deflate stream).
+#: unknown-compression member, a bad deflate stream).  The file's CRC-32
+#: is checked first, so only damage that keeps it (about 1 in 2**32) gets
+#: this far, and it reads as a miss too.
 _NPZ_ERRORS = (
     OSError,
     ValueError,
@@ -102,6 +118,34 @@ _NPZ_ERRORS = (
     zipfile.BadZipFile,
     zlib.error,
 )
+
+
+def _crc32_hex(data: bytes) -> str:
+    return "%08x" % zlib.crc32(data)
+
+
+def _seal_meta(meta: Dict[str, Any]) -> bytes:
+    """The ``meta.json`` bytes for ``meta``: body plus its CRC-32."""
+    body = json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")
+    return _META_HEAD % zlib.crc32(body) + body + _META_TAIL
+
+
+def _open_meta(raw: bytes) -> Optional[Dict[str, Any]]:
+    """The body of a sealed ``meta.json``, or ``None`` unless its envelope,
+    its CRC-32 and its format version all check out."""
+    body = raw[_META_HEAD_LEN : -len(_META_TAIL)]
+    if (
+        raw[:_META_HEAD_LEN] != _META_HEAD % zlib.crc32(body)
+        or raw[-len(_META_TAIL) :] != _META_TAIL
+    ):
+        return None
+    try:
+        meta = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(meta, dict) or meta.get("format_version") != CACHE_FORMAT_VERSION:
+        return None
+    return meta
 
 
 def cache_key(spec: ScenarioSpec) -> str:
@@ -163,10 +207,10 @@ class ScenarioResult:
 class CachedArrays(Mapping):
     """The arrays of a cache hit: verified bytes, parsed on first access.
 
-    Built from one read of ``arrays.npz`` whose members have all passed
-    zipfile's CRC check, so it no longer depends on the file: a later
-    ``evict`` or ``put`` cannot change it.  Each array is parsed with
-    ``np.load`` the first time it is read, and its bytes are dropped
+    Built from one read of ``arrays.npz`` that matched the size and
+    CRC-32 recorded in ``meta.json``, so it no longer depends on the file:
+    a later ``evict`` or ``put`` cannot change it.  Each array is parsed
+    with ``np.load`` the first time it is read, and its bytes are dropped
     then; a hit whose arrays are never read imports no numpy.  Read-only;
     pickles and copies as a plain ``dict`` of arrays.
     """
@@ -257,6 +301,13 @@ class ResultCache:
             tempfile.mkdtemp(prefix=f".{key[:12]}-", dir=entry.parent)
         )
         try:
+            arrays_npz = None
+            if result.arrays:
+                buffer = io.BytesIO()
+                np.savez(buffer, **result.arrays)
+                data = buffer.getvalue()
+                (staging / "arrays.npz").write_bytes(data)
+                arrays_npz = {"bytes": len(data), "crc32": _crc32_hex(data)}
             meta = {
                 "format_version": CACHE_FORMAT_VERSION,
                 "repro_version": __version__,
@@ -269,13 +320,10 @@ class ResultCache:
                 "scalars": result.scalars,
                 "rendered": result.rendered,
                 "runtime_seconds": result.runtime_seconds,
+                "arrays_npz": arrays_npz,
             }
-            if result.arrays:
-                np.savez(staging / "arrays.npz", **result.arrays)
             # meta.json is written last: its presence marks the entry complete.
-            (staging / "meta.json").write_text(
-                json.dumps(meta, sort_keys=True, indent=1)
-            )
+            (staging / "meta.json").write_bytes(_seal_meta(meta))
             written_bytes = sum(
                 p.stat().st_size for p in staging.iterdir() if p.is_file()
             )
@@ -301,32 +349,43 @@ class ResultCache:
     def load_meta(self, key: str) -> Optional[Dict[str, Any]]:
         """The ``meta.json`` payload stored under cache key ``key``.
 
-        Returns ``None`` for missing, corrupt or incompatibly-formatted
-        entries.  Reads no arrays and imports no numpy.
+        Returns ``None`` for missing, corrupt (failing its CRC-32) or
+        incompatibly-formatted entries.  Reads no arrays and imports no
+        numpy.
         """
         try:
             raw = (self.entry_dir(key) / "meta.json").read_bytes()
-            meta = json.loads(raw)
-        except (OSError, ValueError):
+        except OSError:
             return None
-        if meta.get("format_version") != CACHE_FORMAT_VERSION:
+        meta = _open_meta(raw)
+        if meta is None:
             return None
         _CACHE_READ_BYTES.labels(store="result").inc(len(raw))
         return meta
 
-    def load_arrays(self, key: str) -> Optional[CachedArrays]:
+    def load_arrays(
+        self, key: str, meta: Optional[Dict[str, Any]] = None
+    ) -> Optional[CachedArrays]:
         """The arrays stored under ``key``, or ``None`` if they are corrupt.
 
-        The one ``arrays.npz`` reader: the file is read once and every
-        member is CRC-checked and must be an ``.npy``; the arrays are
+        The one ``arrays.npz`` reader: the file is read once and must
+        match the size and CRC-32 its entry's ``meta.json`` (``meta``, or
+        read here) records; its members must be ``.npy``.  The arrays are
         parsed on first access (:class:`CachedArrays`), so this imports
         no numpy.  An entry without arrays gives an empty mapping.
         """
+        if meta is None:
+            meta = self.load_meta(key)
+            if meta is None:
+                return None
+        sealed = meta["arrays_npz"]
+        if sealed is None:
+            return CachedArrays({})
         try:
             data = (self.entry_dir(key) / "arrays.npz").read_bytes()
-        except FileNotFoundError:
-            return CachedArrays({})
         except OSError:
+            return None
+        if len(data) != sealed["bytes"] or _crc32_hex(data) != sealed["crc32"]:
             return None
         try:
             arrays = CachedArrays.from_npz(data)
@@ -372,14 +431,8 @@ class ResultCache:
 
         matches = []
         for meta_path in sorted(self.root.glob("??/*/meta.json")):
-            try:
-                meta = json.loads(meta_path.read_text())
-            except (OSError, ValueError):
-                continue
-            if (
-                meta.get("format_version") == CACHE_FORMAT_VERSION
-                and meta.get("spec_hash") == content_hash
-            ):
+            meta = self.load_meta(meta_path.parent.name)
+            if meta is not None and meta.get("spec_hash") == content_hash:
                 matches.append(meta)
         for meta in matches:
             if meta.get("repro_version") == __version__:
@@ -437,12 +490,13 @@ class ResultCache:
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """Load the cached result for ``spec``, or ``None`` on a miss.
 
-        A corrupt ``meta.json`` or ``arrays.npz`` is a miss.  The arrays
-        come back verified but unparsed (:meth:`load_arrays`).
+        A corrupt ``meta.json`` or ``arrays.npz`` — any byte that differs
+        from what :meth:`put` wrote — is a miss.  The arrays come back
+        verified but unparsed (:meth:`load_arrays`).
         """
         key = self.key_for(spec)
         meta = self.load_meta(key)
-        arrays = None if meta is None else self.load_arrays(key)
+        arrays = None if meta is None else self.load_arrays(key, meta)
         if arrays is None:
             self.misses += 1
             _CACHE_REQUESTS.labels(store="result", outcome="miss").inc()

@@ -22,10 +22,11 @@ Endpoint map (all JSON unless noted; ``{h}`` is a full spec content hash)::
 
 The two worker endpoints speak binary frames
 (``application/x-repro-frame``, :mod:`repro.distributed.frames`) both
-ways; any other body is a 400, and error replies stay JSON.  A claim is
-a long poll: with ``wait`` > 0 an empty claim parks until work is
-queued for the worker or the wait (capped at half the worker timeout)
-runs out, and the reply's ``parked`` says for how many seconds.
+ways; any other body, or a frame that fails its CRC-32, is a 400, and
+error replies stay JSON.  A claim is a long poll: with ``wait`` > 0 an
+empty claim parks until work is queued for the worker or the wait
+(capped at half the worker timeout) runs out, and the reply's
+``parked`` says for how many seconds.
 
 ``/v1/results/{h}`` speaks conditional HTTP: the response carries an
 ``ETag`` (the version-salted cache key of :func:`repro.scenarios.cache

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,27 @@ def isolated_history(tmp_path, monkeypatch):
     suite would write into (and be influenced by) ``~/.cache/repro``.
     """
     monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "history"))
+
+
+def _bit_flips(path):
+    original = path.read_bytes()
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        for index, byte in enumerate(original):
+            for bit in range(8):
+                os.pwrite(fd, bytes([byte ^ (1 << bit)]), index)
+                yield index, bit
+            os.pwrite(fd, bytes([byte]), index)
+    finally:
+        os.close(fd)
+
+
+@pytest.fixture
+def bit_flips():
+    """``bit_flips(path)`` flips each bit of a file in place, one at a time
+    (all 8 masks of every byte), yielding ``(index, bit)`` while the
+    damaged byte is on disk; a finished sweep leaves the file as it was."""
+    return _bit_flips
 
 
 @pytest.fixture

@@ -166,6 +166,42 @@ class TestFramesOnlyBoundary:
             client, worker_id, "claim", frame[: len(frame) - 4]
         )
 
+    def test_a_results_frame_with_a_flipped_bit_is_a_400_and_merges_nothing(
+        self, background_service
+    ):
+        from repro.service.client import ServiceClient
+
+        result = {
+            "blocks": [
+                {
+                    "index": 0,
+                    "completion_times": [42.798608791643034, 22.992239201859256,
+                                         39.95610135336792, 57.446507310043835],
+                    "stats": {"count": 4, "total": [7.1e-15, 163.19345665691404]},
+                }
+            ]
+        }
+        with background_service() as service:
+            client = ServiceClient(service.url, timeout=10.0)
+            worker_id = client.register_worker("flipper")
+            board = service.service.board
+            board.assign(worker_id, _item(0))
+            items, _parked = client.claim_work_batch(worker_id, batch=1, token="t0")
+            assert [item["id"] for item in items] == ["i0"]
+            frame = encode_frame({"results": [{"id": "i0", "result": result}]})
+            # Every byte, each bit position in turn: prefix, tree, pool, CRC.
+            for index in range(len(frame)):
+                damaged = bytearray(frame)
+                damaged[index] ^= 1 << (index % 8)
+                self._assert_rejected(client, worker_id, "results", bytes(damaged))
+            assert board.collect(timeout=0.05) == []
+            # The claim is still open: the intact frame merges, once.
+            assert client.post_work_results(
+                worker_id, [{"id": "i0", "result": result}]
+            ) == [True]
+            (outcome,) = board.collect(timeout=1.0)
+            assert outcome.result == result
+
     def test_well_formed_frames_round_trip(self, worker):
         client, worker_id = worker
         assert client.claim_work_batch(worker_id, batch=3, token="t0") == ([], 0.0)

@@ -114,7 +114,7 @@ class TestCacheKey:
 
         cache = ResultCache(tmp_path)
         entry = cache.put(spec, make_result(spec))
-        meta = json.loads((entry / "meta.json").read_text())
+        meta = json.loads((entry / "meta.json").read_text())["meta"]
         assert meta["backend"] == "reference"
         assert meta["repro_version"]
         assert meta["cache_key"] == cache_key(spec)
@@ -172,6 +172,86 @@ class TestMaintenance:
         updated.rendered = "updated"
         cache.put(spec, updated)
         assert cache.get(spec).rendered == "updated"
+
+
+def _smoke(root):
+    """Compute ``smoke`` into a cache at ``root``; its spec and result."""
+    from repro.scenarios import Orchestrator
+    from repro.scenarios.registry import resolve
+
+    spec = resolve("smoke")
+    with Orchestrator(cache=ResultCache(root)) as orchestrator:
+        computed = orchestrator.run(spec)
+    assert not computed.from_cache
+    return spec, computed
+
+
+def _same(got: ScenarioResult, want: ScenarioResult) -> bool:
+    return got.kind == want.kind and got.identical_to(want)
+
+
+class TestFlipSweep:
+    """One flipped bit in ``meta.json`` or ``arrays.npz`` reads through
+    ``ResultCache.get`` as a miss or as the stored result itself — never
+    a different number and never an exception — and the run after the
+    damage recomputes bit-identically."""
+
+    @staticmethod
+    def _cache(root, spec) -> ResultCache:
+        """A cache that hashes ``spec`` once: a sweep reads one entry
+        thousands of times, and should time the reads, not the hashing."""
+        cache = ResultCache(root)
+        key = cache.key_for(spec)
+        cache.key_for = lambda asked: key if asked is spec else cache_key(asked)
+        return cache
+
+    def test_every_flip_of_meta_json_is_a_miss_or_identical(
+        self, tmp_path, bit_flips
+    ):
+        spec, computed = _smoke(tmp_path)
+        cache = self._cache(tmp_path, spec)
+        meta = cache.entry_dir(cache.key_for(spec)) / "meta.json"
+        for index, bit in bit_flips(meta):
+            got = cache.get(spec)
+            assert got is None or _same(got, computed), (index, bit)
+        assert _same(cache.get(spec), computed)
+
+    def test_every_flip_of_a_multi_member_arrays_npz_is_a_miss_or_identical(
+        self, tmp_path, spec, bit_flips
+    ):
+        cache = self._cache(tmp_path, spec)
+        original = make_result(spec)
+        rng = np.random.default_rng(3)
+        original.arrays = {
+            name: rng.normal(115.8, 38.6, 9)
+            for name in (
+                "gains", "theory", "theory_no_failure", "monte_carlo", "experiment",
+            )
+        }
+        cache.put(spec, original)
+        npz = cache.entry_dir(cache.key_for(spec)) / "arrays.npz"
+        for index, bit in bit_flips(npz):
+            got = cache.get(spec)
+            assert got is None or _same(got, original), (index, bit)
+        assert _same(cache.get(spec), original)
+
+    def test_rerun_after_a_flipped_bit_is_bit_identical(self, tmp_path):
+        from repro.scenarios import Orchestrator
+
+        spec, computed = _smoke(tmp_path)
+        cache = ResultCache(tmp_path)
+        entry = cache.entry_dir(cache.key_for(spec))
+        mean = f'"mean_completion_time": {computed.scalars["mean_completion_time"]!r}'
+        sample = computed.arrays["completion_times"].tobytes()
+        for name, needle in (("meta.json", mean.encode()), ("arrays.npz", sample)):
+            data = bytearray((entry / name).read_bytes())
+            data[data.index(needle) + len(needle) - 1] ^= 0x01  # the value's last byte
+            (entry / name).write_bytes(bytes(data))
+            with Orchestrator(cache=cache) as orchestrator:
+                rerun = orchestrator.run(spec)
+            assert not rerun.from_cache, name
+            assert _same(rerun, computed), name
+            assert _same(cache.get(spec), computed), name  # the entry is rewritten
 
 
 class TestHitArrays:
@@ -383,6 +463,19 @@ class TestMetadataReads:
         assert cache.find_hash(spec.content_hash) == cache.key_for(spec)
         index = tmp_path / "by-hash" / spec.content_hash[:2] / spec.content_hash
         assert index.is_file()  # the scan rebuilt the pointer
+
+    def test_find_hash_scan_skips_a_corrupt_entry(self, tmp_path, spec):
+        import shutil
+
+        cache = ResultCache(tmp_path)
+        entry = cache.put(spec, make_result(spec))
+        shutil.rmtree(tmp_path / "by-hash")  # force the metadata scan
+        meta = entry / "meta.json"
+        data = bytearray(meta.read_bytes())
+        data[data.index(b"line one")] ^= 0x01  # still valid JSON
+        meta.write_bytes(bytes(data))
+        assert cache.find_hash(spec.content_hash) is None
+        assert not (tmp_path / "by-hash").exists()  # no pointer to it
 
     def test_stale_index_pointer_falls_back_to_scan(self, tmp_path, spec):
         cache = ResultCache(tmp_path)

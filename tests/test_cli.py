@@ -546,3 +546,37 @@ class TestBenchRegressionGate:
         captured = capsys.readouterr()
         assert "regressed" in captured.err
         assert "run-history baseline" in captured.err
+
+
+class TestClosedPipe:
+    """A reader that stops early (``repro scenario list | head -n 1``)
+    ends the run quietly: no traceback on stderr, exit status 1."""
+
+    @pytest.mark.parametrize(
+        "argv", [["scenario", "list"], ["history", "list"]], ids=["scenario", "history"]
+    )
+    def test_closed_stdout_leaves_stderr_empty(self, argv, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(repo / "src"),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+            REPRO_HISTORY_DIR=str(tmp_path / "history"),
+        )
+        # The reader is gone before the first write: every write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
