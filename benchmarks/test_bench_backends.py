@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.parameters import paper_parameters
 from repro.core.policies import LBP1
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
 WORKLOAD = (100, 60)
 
@@ -19,12 +19,9 @@ WORKLOAD = (100, 60)
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_backend_throughput(benchmark, bench_once, backend):
     request = EngineRequest(
-        params=paper_parameters(),
-        policy=LBP1(0.35),
-        workload=WORKLOAD,
-        num_realisations=500,
-        seed=111,
-        backend=backend,
+        spec=mc_point_spec(
+            paper_parameters(), LBP1(0.35), WORKLOAD, 500, seed=111, backend=backend
+        )
     )
     estimate = bench_once(benchmark, run_engine, request).estimate
     assert estimate.num_realisations == 500

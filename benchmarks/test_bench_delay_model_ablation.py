@@ -14,7 +14,7 @@ import pytest
 from repro.core.completion_time import CompletionTimeSolver
 from repro.core.parameters import paper_parameters
 from repro.core.policies import LBP1
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
 WORKLOAD = (100, 60)
 GAIN = 0.35
@@ -25,11 +25,7 @@ def _simulate(delay_kind):
     params = paper_parameters(delay_kind=delay_kind)
     policy = LBP1(GAIN, sender=0, receiver=1)
     request = EngineRequest(
-        params=params,
-        policy=policy,
-        workload=WORKLOAD,
-        num_realisations=REALISATIONS,
-        seed=909,
+        spec=mc_point_spec(params, policy, WORKLOAD, REALISATIONS, seed=909)
     )
     return run_engine(request).estimate.mean_completion_time
 

@@ -4,18 +4,16 @@ import pytest
 
 from repro.core.parameters import paper_parameters
 from repro.core.policies import LBP2
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
 WORKLOAD = (100, 60)
 
 
 def _request(realisations, **execution):
     return EngineRequest(
-        params=paper_parameters(),
-        policy=LBP2(1.0),
-        workload=WORKLOAD,
-        num_realisations=realisations,
-        seed=111,
+        spec=mc_point_spec(
+            paper_parameters(), LBP2(1.0), WORKLOAD, realisations, seed=111
+        ),
         **execution,
     )
 

@@ -17,7 +17,7 @@ workload arrival.  This example exercises both extensions implemented in
 Run it with ``python examples/multinode_extension.py``.
 """
 
-from repro import LBP1, LBP2, EngineRequest, NoBalancing, run_engine
+from repro import LBP1, LBP2, EngineRequest, NoBalancing, mc_point_spec, run_engine
 from repro.analysis.reporting import format_table
 from repro.analysis.tables import Table
 from repro.core.arrivals import ArrivalProcessConfig, DynamicSystem
@@ -49,8 +49,8 @@ def exact_three_node_study() -> None:
                   title=f"3-node exact analysis, workload {workload}")
     for policy in policies:
         prediction = expected_completion_time_multinode(params, workload, policy=policy)
-        estimate = run_engine(EngineRequest(params=params, policy=policy, workload=workload,
-                                            num_realisations=150, seed=5)).estimate
+        estimate = run_engine(EngineRequest(mc_point_spec(params, policy, workload,
+                                                          num_realisations=150, seed=5))).estimate
         table.add_row({
             "policy": policy.name,
             "gain": getattr(policy, "gain", float("nan")),

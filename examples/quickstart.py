@@ -17,6 +17,7 @@ from repro import (
     LBP1,
     LBP2,
     EngineRequest,
+    mc_point_spec,
     optimal_gain_lbp1,
     optimal_gain_no_failure,
     paper_parameters,
@@ -47,10 +48,10 @@ def main() -> None:
                 sender=with_failure.sender, receiver=with_failure.receiver)
     lbp2 = LBP2(gain=1.0)
 
-    mc_lbp1 = run_engine(EngineRequest(params=params, policy=lbp1, workload=workload,
-                                       num_realisations=200, seed=1)).estimate
-    mc_lbp2 = run_engine(EngineRequest(params=params, policy=lbp2, workload=workload,
-                                       num_realisations=200, seed=2)).estimate
+    mc_lbp1 = run_engine(EngineRequest(mc_point_spec(params, lbp1, workload,
+                                                     num_realisations=200, seed=1))).estimate
+    mc_lbp2 = run_engine(EngineRequest(mc_point_spec(params, lbp2, workload,
+                                                     num_realisations=200, seed=2))).estimate
 
     print("Monte-Carlo estimates (200 realisations each)")
     print(f"  LBP-1 (K={lbp1.gain:.2f}) : {mc_lbp1.mean_completion_time:7.1f} s "

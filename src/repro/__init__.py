@@ -76,6 +76,7 @@ _EXPORTS = {
         "MonteCarloEstimate",
         "compare_policies",
         "delay_sweep",
+        "mc_point_spec",
         "run_engine",
     ),
     "repro.sim": ("Environment", "RandomStreams"),

@@ -771,6 +771,8 @@ def _history_main(argv) -> int:
         print(f"pruned: kept {kept}, dropped {dropped}")
         return 0
     # import
+    from pathlib import Path
+
     from repro.obs.history import (
         record_backend_report,
         record_distributed_report,
@@ -779,7 +781,7 @@ def _history_main(argv) -> int:
     total = 0
     for path in args.files:
         try:
-            payload = json.loads(open(path, encoding="utf-8").read())
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as error:
             print(f"error: cannot read {path}: {error}", file=sys.stderr)
             return 2
@@ -968,10 +970,12 @@ def _trace_main(argv) -> int:
     )
     args = parser.parse_args(argv)
 
+    from pathlib import Path
+
     from repro.obs.trace import Tracer
 
     try:
-        text = open(args.file, encoding="utf-8").read()
+        text = Path(args.file).read_text(encoding="utf-8")
     except OSError as error:
         print(f"error: cannot read {args.file}: {error}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ computed:
   registered backends against each other, checks statistical parity with
   a KS test and emits machine-readable ``BENCH_results.json``.
 
-Select a backend anywhere Monte-Carlo runs: ``EngineRequest(...,
+Select a backend anywhere Monte-Carlo runs: ``mc_point_spec(...,
 backend="vectorized")``, ``ScenarioSpec(backend=...)``, or ``--backend``
 on the CLI.  The engine calls the backend once per seed block; fanning
 blocks out over a process pool or the worker fleet is the engine's job.

@@ -16,8 +16,8 @@ The pipeline itself — plan → execute → merge — lives in
 :mod:`repro.montecarlo.engine` and serves *every* Monte-Carlo run, not
 just explicitly sharded ones: a sharded spec run is
 ``run_engine(EngineRequest(spec=..., executor=..., store=...))``.
-Spec-described runs travel as JSON work items to any executor; ad-hoc
-runs (live policy or backend objects) run inline or on a process pool.
+Every run is spec-described, so its work items are JSON documents that
+any executor carries, the remote worker board included.
 
 Re-exports are lazy (PEP 562): importing this package costs nothing, which
 keeps the service's request path numpy-free.
@@ -52,7 +52,6 @@ _EXPORTS = {
     "repro.distributed.work": (
         "execute_work_item",
         "int_seed",
-        "make_adhoc_item",
         "make_work_item",
         "policy_spec_of",
         "run_block",

@@ -63,12 +63,6 @@ class ShardExecutor(ABC):
 
     name: str = "executor"
 
-    #: How work items reach the slots: ``"pickle"`` executors move items by
-    #: reference or pickle and accept ad-hoc items carrying live Python
-    #: objects; ``"json"`` executors (the HTTP worker board) can only carry
-    #: spec-described items.
-    transport: str = "pickle"
-
     #: How many items the scheduler may keep in flight *per slot*.  Depth 1
     #: is classic one-at-a-time dispatch; the HTTP worker board raises it so
     #: one batched claim round-trip can hand a worker several shards.

@@ -1,21 +1,13 @@
 """Executing one shard work item — the code both pool slots and remote
 workers run.
 
-A *work item* is a self-contained document describing one shard's worth of
-seed blocks.  Two flavours exist, sharing one schema:
+A *work item* is a self-contained JSON document describing one shard's
+worth of seed blocks (:func:`make_work_item`).  It carries the effective
+:class:`~repro.scenarios.spec.ScenarioSpec` (system, workload, policy,
+seed, backend) as pure JSON, so the same item runs inline, in a pool
+process or on a remote ``repro worker`` reached over HTTP.
 
-* **spec items** (:func:`make_work_item`) carry the effective
-  :class:`~repro.scenarios.spec.ScenarioSpec` (system, workload, policy,
-  seed, backend) as pure JSON — the form that travels to remote
-  ``repro worker`` processes over HTTP;
-* **ad-hoc items** (:func:`make_adhoc_item`) carry live Python objects
-  (parameters, a policy instance, ``system_kwargs``) for runs the spec
-  schema cannot express.  They move by reference (inline executor) or by
-  pickle (process pools) and never cross a JSON transport: the engine
-  refuses an ad-hoc run on the remote worker board up front.
-
-Both flavours resolve to ``(params, policy, workload, seed, backend)``
-and run through one execute-and-reduce step: the requested
+Each block runs through one execute-and-reduce step: the spec's
 :class:`~repro.backends.base.ExecutionBackend` executes the block with
 its own seed stream (:func:`repro.distributed.plan.block_seed`), and the
 sample reduces to a JSON payload — the completion times plus a mergeable
@@ -106,8 +98,9 @@ def policy_spec_of(policy: Any) -> "PolicySpec":
     if isinstance(policy, SendAllOnFailure):
         return PolicySpec(kind="send_all")
     raise ValueError(
-        f"cannot serialize policy {policy!r} into a PolicySpec; sharded "
-        "execution only ships the built-in policy kinds"
+        f"cannot serialize policy {policy!r} into a PolicySpec; the engine "
+        "runs only the built-in policy kinds (run others through "
+        "MonteCarloRunner or a backend's run_batch)"
     )
 
 
@@ -150,33 +143,6 @@ def make_work_item(
     }
 
 
-def make_adhoc_item(
-    item_id: str,
-    task_id: str,
-    shard_index: int,
-    payload: Dict[str, Any],
-    blocks: List[SeedBlock],
-    confidence_level: float = 0.95,
-) -> Dict[str, Any]:
-    """Assemble a work item around live Python objects (no JSON transport).
-
-    ``payload`` carries ``params``, ``policy``, ``workload``, ``seed``
-    (the master seed), ``backend``, ``horizon`` and ``system_kwargs`` —
-    everything :meth:`ExecutionBackend.run_batch` needs.  The item is
-    picklable whenever its contents are, which covers the inline and
-    process-pool executors — the only ones the engine hands it to.
-    """
-    return {
-        "version": WORK_ITEM_VERSION,
-        "id": item_id,
-        "task": task_id,
-        "shard": shard_index,
-        "adhoc": payload,
-        "blocks": [list(block.to_item()) for block in blocks],
-        "confidence_level": confidence_level,
-    }
-
-
 # One-slot memo for the per-block spec rebuild.  A shard's blocks all
 # carry the same spec dict, so re-parsing it (ScenarioSpec.from_dict,
 # parameter materialisation, policy gain resolution, backend lookup) per
@@ -205,27 +171,15 @@ def _spec_runtime(spec_dict: Dict[str, Any]):
     return _SPEC_MEMO["runtime"]
 
 
-def _execute_block(
-    block: SeedBlock,
-    backend: Any,
-    params: Any,
-    policy: Any,
-    workload: Any,
-    master_seed: Any,
-    horizon: Optional[float] = None,
-    system_kwargs: Optional[Dict[str, Any]] = None,
+def run_block(
+    spec_dict: Dict[str, Any], block: SeedBlock
 ) -> Dict[str, Any]:
-    """Run one seed block through ``backend`` and reduce it to a JSON-safe
-    payload — the one code path every block, spec or ad-hoc, runs through.
-
-    The master seed may be a live ``SeedSequence``;
-    :func:`~repro.distributed.plan.block_seed` extends its spawn key, so an
-    integer seed and ``SeedSequence(seed)`` draw identical block streams —
-    which is what keeps ad-hoc and spec-described runs of the same
-    configuration bit-identical.
-    """
+    """Run one seed block of a spec item through its backend and reduce it
+    to a JSON-safe payload — the one code path every block runs through."""
     from repro.montecarlo.statistics import RunningStatistics
 
+    with trace.span("worker.deserialize", block=block.index):
+        spec, params, policy, backend = _spec_runtime(spec_dict)
     started = perf_counter()
     with trace.span(
         "worker.compute",
@@ -235,11 +189,9 @@ def _execute_block(
         estimate = backend.run_batch(
             params,
             policy,
-            workload,
+            spec.workload,
             block.num_realisations,
-            seed=block_seed(master_seed, block.index),
-            horizon=horizon,
-            **(system_kwargs or {}),
+            seed=block_seed(spec.seed, block.index),
         )
     compute_seconds = perf_counter() - started
     times = [float(t) for t in estimate.completion_times]
@@ -256,33 +208,6 @@ def _execute_block(
         # this field simply lack it.
         "wall_seconds": compute_seconds,
     }
-
-
-def run_block(
-    spec_dict: Dict[str, Any], block: SeedBlock
-) -> Dict[str, Any]:
-    """Execute one seed block of a spec item."""
-    with trace.span("worker.deserialize", block=block.index):
-        spec, params, policy, backend = _spec_runtime(spec_dict)
-    return _execute_block(block, backend, params, policy, spec.workload, spec.seed)
-
-
-def run_adhoc_block(payload: Dict[str, Any], block: SeedBlock) -> Dict[str, Any]:
-    """Execute one seed block of an ad-hoc item (live objects, no rebuild)."""
-    from repro.backends.base import resolve_backend
-
-    with trace.span("worker.deserialize", block=block.index):
-        backend = resolve_backend(payload.get("backend"))
-    return _execute_block(
-        block,
-        backend,
-        payload["params"],
-        payload["policy"],
-        tuple(payload["workload"]),
-        payload.get("seed"),
-        horizon=payload.get("horizon"),
-        system_kwargs=payload.get("system_kwargs"),
-    )
 
 
 def execute_work_item(
@@ -309,16 +234,10 @@ def execute_work_item(
             shard=int(item["shard"]),
             blocks=len(item["blocks"]),
         ):
-            if "adhoc" in item:
-                blocks = [
-                    run_adhoc_block(item["adhoc"], SeedBlock.from_item(entry))
-                    for entry in item["blocks"]
-                ]
-            else:
-                blocks = [
-                    run_block(item["spec"], SeedBlock.from_item(entry))
-                    for entry in item["blocks"]
-                ]
+            blocks = [
+                run_block(item["spec"], SeedBlock.from_item(entry))
+                for entry in item["blocks"]
+            ]
         result = {
             "id": item["id"],
             "task": item["task"],

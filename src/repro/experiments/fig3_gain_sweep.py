@@ -24,7 +24,7 @@ from repro.core.completion_time import CompletionTimeSolver
 from repro.core.parameters import SystemParameters
 from repro.core.policies.lbp1 import LBP1
 from repro.experiments import common
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.sim.rng import spawn_seeds
 from repro.testbed.experiment import TestbedExperiment
 
@@ -126,11 +126,9 @@ def run(
         policy = LBP1(float(gain), sender=sender, receiver=receiver)
         mc[i] = run_engine(
             EngineRequest(
-                params=params,
-                policy=policy,
-                workload=workload_t,
-                num_realisations=mc_realisations,
-                seed=seeds[2 * i],
+                spec=mc_point_spec(
+                    params, policy, workload_t, mc_realisations, seeds[2 * i]
+                ),
                 workers=workers,
                 executor=executor,
                 store=store,

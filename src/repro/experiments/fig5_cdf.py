@@ -21,7 +21,7 @@ from repro.core.optimize import optimal_gain_lbp1
 from repro.core.parameters import SystemParameters
 from repro.core.policies.lbp1 import LBP1
 from repro.experiments import common
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.montecarlo.statistics import evaluate_empirical_cdf
 
 
@@ -122,11 +122,9 @@ def run(
             policy = LBP1(gain, sender=optimum.sender, receiver=optimum.receiver)
             estimate = run_engine(
                 EngineRequest(
-                    params=params,
-                    policy=policy,
-                    workload=workload_t,
-                    num_realisations=mc_realisations,
-                    seed=seed,
+                    spec=mc_point_spec(
+                        params, policy, workload_t, mc_realisations, seed
+                    )
                 )
             ).estimate
             empirical = evaluate_empirical_cdf(estimate.completion_times, grid)

@@ -24,7 +24,7 @@ from repro.core.optimize import optimal_gain_lbp2_initial
 from repro.core.parameters import SystemParameters
 from repro.core.policies.lbp2 import LBP2
 from repro.experiments import common
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.sim.rng import spawn_seeds
 from repro.testbed.experiment import TestbedExperiment
 
@@ -102,11 +102,9 @@ def run(
 
         mc = run_engine(
             EngineRequest(
-                params=params,
-                policy=policy,
-                workload=workload_t,
-                num_realisations=mc_realisations,
-                seed=seeds[2 * index],
+                spec=mc_point_spec(
+                    params, policy, workload_t, mc_realisations, seeds[2 * index]
+                )
             )
         ).estimate
         campaign = TestbedExperiment.run_many(

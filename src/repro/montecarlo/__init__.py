@@ -32,6 +32,7 @@ _EXPORTS = {
     "repro.montecarlo.engine": (
         "EngineReport",
         "EngineRequest",
+        "mc_point_spec",
         "run_engine",
     ),
     "repro.montecarlo.pooling": ("cap_pool_size",),

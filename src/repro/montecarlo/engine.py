@@ -26,21 +26,21 @@ module makes that pipeline the *only* one:
    therefore bit-identical (``==``) across serial, pooled, vectorized and
    any-shard-count execution of the same request.
 
-Requests that a :class:`~repro.scenarios.spec.ScenarioSpec` can describe
-(built-in policy, no bespoke ``system_kwargs``/horizon) are normalised to
-one — the *identity spec* — which keys the shard store: every such run,
-sharded or not, reads and writes the block cache, so interrupted runs
-resume and grown ensembles compute only the delta.  Anything else runs in
-*ad-hoc* mode: same pipeline, same merge, no block cache, and work items
-that carry live objects — so it runs inline or on a process pool, and a
-JSON-transport executor (the remote worker board) refuses it up front.
+Every request is a :class:`~repro.scenarios.spec.ScenarioSpec`: its
+content keys the shard store, so every run, sharded or not, reads and
+writes the block cache (interrupted runs resume, grown ensembles compute
+only the delta), and its work items are pure JSON, so any executor runs
+them, the remote worker board included.  :func:`mc_point_spec` turns live
+parameters and a built-in policy into that spec.  A custom policy,
+horizon, bespoke ``system_kwargs`` or pairwise delay override has no spec
+form; such runs go to :class:`~repro.montecarlo.runner.MonteCarloRunner`
+or ``get_backend(name).run_batch`` directly.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
@@ -54,12 +54,7 @@ from repro.distributed.plan import (
     shard_plan_key,
 )
 from repro.distributed.scheduler import ShardScheduler
-from repro.distributed.work import (
-    int_seed,
-    make_adhoc_item,
-    make_work_item,
-    policy_spec_of,
-)
+from repro.distributed.work import int_seed, make_work_item, policy_spec_of
 from repro.montecarlo.runner import MonteCarloEstimate
 from repro.montecarlo.statistics import RunningStatistics
 from repro.obs import trace
@@ -98,11 +93,10 @@ _BLOCK_COMPUTE_SECONDS = REGISTRY.histogram(
 class EngineRequest:
     """Everything the engine needs for one Monte-Carlo ensemble.
 
-    Either ``spec`` describes the run completely (the orchestrator and the
-    benchmark harness pass effective :class:`ScenarioSpec` objects), or
-    the ad-hoc fields — ``params``/``policy``/``workload``/
-    ``num_realisations``/``seed``/``backend`` — do.  The remaining fields
-    tune execution without changing the sample:
+    ``spec`` describes the sample completely (the orchestrator passes
+    effective scenario specs; :func:`mc_point_spec` builds one from live
+    parameters and a policy).  The remaining fields tune execution without
+    changing the sample:
 
     executor / workers:
         Where shards run: ``None`` (inline), an executor name
@@ -117,25 +111,13 @@ class EngineRequest:
         executor slot (at least one slot).  Either way the count is capped
         at the missing block count, and grouping only regroups blocks —
         the sample is identical for every count.
-    block_size:
-        Realisations per seed block (ad-hoc runs only; spec runs use
-        ``spec.shard_block``).  Part of the sample's identity.
     store / refresh:
         The shard-level block cache.  ``refresh`` recomputes every block
         but still persists the results (the ``--force`` repair path).
     """
 
-    params: Optional["SystemParameters"] = None
-    policy: Any = None
-    workload: Sequence[int] = ()
-    num_realisations: int = 0
-    seed: "SeedLike" = None
-    backend: Any = None
-    horizon: Optional[float] = None
-    system_kwargs: Dict[str, Any] = field(default_factory=dict)
-    spec: Optional[ScenarioSpec] = None
+    spec: ScenarioSpec
     confidence_level: float = 0.95
-    block_size: Optional[int] = None
     shards: Optional[int] = None
     executor: Any = None
     workers: Optional[int] = None
@@ -176,45 +158,50 @@ class EngineReport:
         return self.blocks_total - self.blocks_cached
 
 
-def _synthesize_identity(
-    request: EngineRequest,
-    master_seed: Any,
+def mc_point_spec(
+    params: "SystemParameters",
+    policy: Any,
+    workload: Sequence[int],
     num_realisations: int,
-    block_size: int,
-) -> Optional[ScenarioSpec]:
-    """The request as a :class:`ScenarioSpec`, or ``None`` if inexpressible.
+    seed: "SeedLike" = None,
+    backend: str = "reference",
+    block_size: int = DEFAULT_SHARD_BLOCK,
+) -> ScenarioSpec:
+    """The ``mc_point`` spec of one ensemble of a built-in policy.
 
-    A synthesized identity makes the run spec-described: JSON work items,
-    shard-store keys, and a master seed collapsed to an integer exactly as
-    the orchestrator's sharded path always did.  Anything the spec schema
-    cannot carry — a horizon, bespoke ``system_kwargs``, a custom policy or
-    backend instance, pairwise delay overrides — falls back to ad-hoc mode.
+    ``seed`` collapses to an integer through
+    :func:`~repro.distributed.work.int_seed` (a spawned ``SeedSequence``
+    included); ``None`` draws fresh entropy once, so an unseeded run never
+    aliases ``seed=0``.  ``block_size`` is the seed-block size, part of
+    the sample's identity.
+
+    Raises :class:`ValueError` for what the spec schema cannot carry: a
+    policy outside the built-in kinds, parameters with pairwise delay
+    overrides, or a backend given as anything but a name.  Run those
+    through :class:`~repro.montecarlo.runner.MonteCarloRunner` or
+    ``get_backend(name).run_batch``.
     """
-    if request.horizon is not None or request.system_kwargs:
-        return None
-    backend = request.backend
-    if backend is None:
-        backend_name = "reference"
-    elif isinstance(backend, str):
-        backend_name = backend
-    else:
-        return None  # a live backend instance has no stable name/identity
-    try:
-        policy = policy_spec_of(request.policy)
-    except ValueError:
-        return None
-    system = SystemSpec.from_parameters(request.params)
-    if system.to_parameters() != request.params:
-        return None  # e.g. pairwise delay overrides the spec cannot express
+    policy_spec = policy_spec_of(policy)
+    system = SystemSpec.from_parameters(params)
+    if system.to_parameters() != params:
+        raise ValueError(
+            "these parameters cannot be described by a SystemSpec (pairwise "
+            "delay overrides); run them through MonteCarloRunner or a "
+            "backend's run_batch"
+        )
+    if seed is None:
+        import numpy as np
+
+        seed = np.random.SeedSequence()
     return ScenarioSpec(
         name="engine",
         kind="mc_point",
         system=system,
-        workload=tuple(int(m) for m in request.workload),
-        policy=policy,
-        mc_realisations=num_realisations,
-        seed=int_seed(master_seed),
-        backend=backend_name,
+        workload=workload,
+        policy=policy_spec,
+        mc_realisations=int(num_realisations),
+        seed=int_seed(seed),
+        backend=backend,
         shards=0,
         shard_block=block_size,
     )
@@ -225,55 +212,22 @@ def run_engine(request: EngineRequest) -> EngineReport:
     started = perf_counter()
 
     spec = request.spec
-    if spec is not None:
-        num_realisations = spec.mc_realisations
-        block_size = spec.shard_block
-        workload = tuple(spec.workload)
-        master_seed: Any = spec.seed
-        identity: Optional[ScenarioSpec] = spec
-    else:
-        num_realisations = int(request.num_realisations)
-        block_size = (
-            int(request.block_size)
-            if request.block_size is not None
-            else DEFAULT_SHARD_BLOCK
-        )
-        workload = tuple(int(m) for m in request.workload)
-        master_seed = request.seed
-        if master_seed is None:
-            # "No seed" means fresh entropy — draw it once so every block
-            # (and every executor slot) shares one master, and so the
-            # synthesized identity cannot alias seed=0.
-            import numpy as np
-
-            master_seed = np.random.SeedSequence()
-        identity = _synthesize_identity(
-            request, master_seed, num_realisations, block_size
-        )
-
+    num_realisations = spec.mc_realisations
     if num_realisations < 1:
         raise ValueError(
             f"num_realisations must be >= 1, got {num_realisations!r}"
-        )
-    if identity is None and getattr(request.executor, "transport", "pickle") == "json":
-        # Ad-hoc items carry live objects that only move by reference or
-        # pickle; refuse before planning, so nothing is ever dispatched.
-        raise ValueError(
-            "this run cannot be described by a ScenarioSpec (a custom "
-            "policy or backend instance, a horizon, system kwargs or "
-            "pairwise delay overrides), so it runs inline or on a process "
-            "pool only, never on JSON-transport executors such as the "
-            "remote worker board"
         )
 
     import numpy as np
 
     _ENGINE_RUNS.inc()
-    plan_started = perf_counter()
+    # The plan, execute and merge phases tile the wall clock: each phase
+    # ends at the instant the next begins, so the ledger's identity holds
+    # by construction rather than up to the untimed code between phases.
     with trace.span("engine.plan", realisations=num_realisations):
-        blocks = plan_blocks(num_realisations, block_size)
-        store = request.store if identity is not None else None
-        plan_key = shard_plan_key(identity) if store is not None else None
+        blocks = plan_blocks(num_realisations, spec.shard_block)
+        store = request.store
+        plan_key = shard_plan_key(spec) if store is not None else None
 
         # -- plan: serve cached blocks, collect the missing ones -----------
         merged_blocks: Dict[int, Dict[str, Any]] = {}
@@ -298,11 +252,10 @@ def run_engine(request: EngineRequest) -> EngineReport:
                     "blocks_total": len(blocks),
                 }
             )
-    plan_seconds = perf_counter() - plan_started
 
     # -- execute: dispatch the missing blocks through the scheduler --------
     num_shards = request.shards
-    if num_shards is None and spec is not None and spec.shards >= 1:
+    if num_shards is None and spec.shards >= 1:
         num_shards = spec.shards
     slot_completed: Dict[str, int] = {}
     # Mutable cell: absorb_shard (a closure invoked from the scheduler
@@ -311,6 +264,7 @@ def run_engine(request: EngineRequest) -> EngineReport:
     shards_dispatched = 0
     executor_label: Optional[str] = None
     execute_started = perf_counter()
+    plan_seconds = execute_started - started
     if missing:
 
         def absorb_shard(shard_index: int, shard_result: Dict[str, Any]) -> None:
@@ -346,30 +300,14 @@ def run_engine(request: EngineRequest) -> EngineReport:
             # yet (workers register asynchronously), hence the one-slot floor.
             num_shards = max(1, len(resolved.slots())) * SHARDS_PER_SLOT
         shards = plan_shards(missing, max(1, num_shards))
-        if identity is not None:
-            make_item = partial(
-                make_work_item,
-                task_id=(plan_key or shard_plan_key(identity))[:16],
-                spec_dict=identity.to_dict(),
-            )
-        else:
-            make_item = partial(
-                make_adhoc_item,
-                task_id="adhoc",
-                payload={
-                    "params": request.params,
-                    "policy": request.policy,
-                    "workload": workload,
-                    "seed": master_seed,
-                    "backend": request.backend,
-                    "horizon": request.horizon,
-                    "system_kwargs": dict(request.system_kwargs),
-                },
-            )
+        task_id = (plan_key or shard_plan_key(spec))[:16]
+        spec_dict = spec.to_dict()
         items = {
-            shard.index: make_item(
+            shard.index: make_work_item(
                 item_id="",  # the scheduler stamps a fresh id per attempt
+                task_id=task_id,
                 shard_index=shard.index,
+                spec_dict=spec_dict,
                 blocks=list(shard.blocks),
                 confidence_level=request.confidence_level,
             )
@@ -404,10 +342,10 @@ def run_engine(request: EngineRequest) -> EngineReport:
     else:
         shard_records = {}
         peak_in_flight = 0
-    execute_seconds = perf_counter() - execute_started
 
     # -- merge: exact accumulators, block-ordered concatenation ------------
     merge_started = perf_counter()
+    execute_seconds = merge_started - execute_started
     with trace.span("engine.merge", blocks=len(blocks)):
         ordered = [merged_blocks[block.index] for block in blocks]
         times = np.concatenate(
@@ -419,15 +357,16 @@ def run_engine(request: EngineRequest) -> EngineReport:
         stats = RunningStatistics.merged(
             RunningStatistics.from_dict(payload["stats"]) for payload in ordered
         )
-    merge_seconds = perf_counter() - merge_started
 
     estimate = MonteCarloEstimate(
         policy_name=str(ordered[0]["policy"]),
-        workload=workload,
+        workload=tuple(spec.workload),
         completion_times=times,
         stats=stats,
         confidence_level=request.confidence_level,
     )
+    finished = perf_counter()
+    merge_seconds = finished - merge_started
     attribution = _attribution_ledger(
         plan_seconds=plan_seconds,
         execute_seconds=execute_seconds,
@@ -446,7 +385,7 @@ def run_engine(request: EngineRequest) -> EngineReport:
         blocks_total=len(blocks),
         blocks_cached=len(blocks) - len(missing),
         shards_dispatched=shards_dispatched,
-        wall_seconds=perf_counter() - started,
+        wall_seconds=finished - started,
         slot_completed=slot_completed,
         timings={
             "execute_seconds": execute_seconds,
@@ -458,9 +397,7 @@ def run_engine(request: EngineRequest) -> EngineReport:
     _record_run_history(
         report,
         request=request,
-        identity=identity,
         executor_label=executor_label,
-        num_realisations=num_realisations,
     )
     return report
 
@@ -469,9 +406,7 @@ def _record_run_history(
     report: "EngineReport",
     *,
     request: EngineRequest,
-    identity: Optional[ScenarioSpec],
     executor_label: Optional[str],
-    num_realisations: int,
 ) -> None:
     """Append this run to the run-history ledger (best-effort).
 
@@ -492,21 +427,14 @@ def _record_run_history(
             label = type(request.executor).__name__
         else:
             label = "cached"
-        if identity is not None:
-            scenario = identity.name or "adhoc"
-            spec_hash: Optional[str] = identity.content_hash
-            backend = identity.backend
-        else:
-            scenario = "adhoc"
-            spec_hash = None
-            backend = str(request.backend or "reference")
+        spec = request.spec
         history.record_engine_run(
             report,
-            scenario=scenario,
-            spec_hash=spec_hash,
-            backend=backend,
+            scenario=spec.name,
+            spec_hash=spec.content_hash,
+            backend=spec.backend,
             executor=label,
-            realisations=num_realisations,
+            realisations=spec.mc_realisations,
             workers=request.workers,
         )
     except Exception:  # telemetry must never take the run down

@@ -112,6 +112,12 @@ class MonteCarloRunner:
     ``k``-th child stream spawned from ``seed``, so a block's sample
     depends only on its block seed, never on the executor running it.
 
+    It is also the route for runs a
+    :class:`~repro.scenarios.spec.ScenarioSpec` cannot describe, which
+    the engine does not take: custom policies, a horizon, extra
+    ``system_kwargs``, pairwise delay overrides and traces.  Use it
+    directly, or ``get_backend(name).run_batch`` for a named backend.
+
     Parameters
     ----------
     params:

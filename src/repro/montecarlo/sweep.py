@@ -25,7 +25,7 @@ from repro.core.parameters import SystemParameters
 from repro.core.policies.base import LoadBalancingPolicy
 from repro.core.policies.lbp1 import LBP1
 from repro.core.policies.lbp2 import LBP2
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.montecarlo.runner import MonteCarloEstimate
 from repro.sim.rng import SeedLike
 
@@ -116,11 +116,9 @@ def delay_sweep(
     def estimate(point_params, policy, point_seed) -> float:
         return run_engine(
             EngineRequest(
-                params=point_params,
-                policy=policy,
-                workload=workload_t,
-                num_realisations=num_realisations,
-                seed=point_seed,
+                spec=mc_point_spec(
+                    point_params, policy, workload_t, num_realisations, point_seed
+                ),
                 executor=shared,
                 workers=workers,
                 store=store,
@@ -162,9 +160,9 @@ def compare_policies(
     policies: Sequence[LoadBalancingPolicy],
     num_realisations: int = 200,
     seed: SeedLike = 0,
-    horizon: Optional[float] = None,
 ) -> Dict[str, MonteCarloEstimate]:
-    """Monte-Carlo comparison of several policies on the same workload.
+    """Monte-Carlo comparison of several built-in policies on the same
+    workload.
 
     All policies see the same master seed, hence the same block seed
     streams (common random numbers), which sharpens the comparison between
@@ -180,12 +178,9 @@ def compare_policies(
             key = f"{policy.name}#{index}"
         estimates[key] = run_engine(
             EngineRequest(
-                params=params,
-                policy=policy,
-                workload=workload_t,
-                num_realisations=num_realisations,
-                seed=seed,
-                horizon=horizon,
+                spec=mc_point_spec(
+                    params, policy, workload_t, num_realisations, seed
+                )
             )
         ).estimate
     return estimates

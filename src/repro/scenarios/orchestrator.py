@@ -591,7 +591,7 @@ def _run_table3(spec: ScenarioSpec, ctx: Orchestrator) -> RunnerOutput:
 # ---------------------------------------------------------------------------
 
 
-def _estimate(spec: ScenarioSpec, ctx: Orchestrator, params, policy, seed):
+def _estimate(spec: ScenarioSpec, ctx: Orchestrator, policy, seed):
     """One Monte-Carlo estimate through the unified engine.
 
     Every run — serial, pooled or sharded — is the same plan→execute→merge
@@ -603,7 +603,9 @@ def _estimate(spec: ScenarioSpec, ctx: Orchestrator, params, policy, seed):
     item carries a fully-serialized mc-point spec, so runners that built
     their policy programmatically (pinned analytical gains) or were handed
     a spawned seed get both folded back into spec fields first — which is
-    also what keys the shard-level block cache for *all* of these runs.
+    also what keys the shard-level block cache for *all* of these runs.  A
+    policy outside the built-in kinds has no spec form and raises
+    :class:`ValueError`.
 
     Returns ``(estimate, report)``; ``report`` is the engine's
     :class:`~repro.montecarlo.engine.EngineReport`.
@@ -618,36 +620,22 @@ def _estimate(spec: ScenarioSpec, ctx: Orchestrator, params, policy, seed):
         def on_event(event: Dict[str, Any]) -> None:
             progress({"point": spec.name, **event})
 
-    common = dict(
-        executor=ctx._point_executor,
-        workers=ctx.workers,
-        store=ctx.shard_store,
-        refresh=ctx._refresh_shards,
-        on_event=on_event,
-        **ctx.shard_options,
+    effective = spec.with_(
+        kind="mc_point",
+        policy=policy_spec_of(policy),
+        seed=int_seed(seed),
     )
-    try:
-        effective = spec.with_(
-            kind="mc_point",
-            policy=policy_spec_of(policy),
-            seed=int_seed(seed),
+    report = run_engine(
+        EngineRequest(
+            spec=effective,
+            executor=ctx._point_executor,
+            workers=ctx.workers,
+            store=ctx.shard_store,
+            refresh=ctx._refresh_shards,
+            on_event=on_event,
+            **ctx.shard_options,
         )
-        request = EngineRequest(spec=effective, **common)
-    except ValueError:
-        # A runner handed us a policy outside the built-in kinds: it cannot
-        # travel inside a spec (no shard store, no remote workers), but the
-        # engine's ad-hoc mode runs it through the same pipeline.
-        request = EngineRequest(
-            params=params,
-            policy=policy,
-            workload=tuple(spec.workload),
-            num_realisations=spec.mc_realisations,
-            seed=seed,
-            backend=spec.backend,
-            block_size=spec.shard_block,
-            **common,
-        )
-    report = run_engine(request)
+    )
     return report.estimate, report
 
 
@@ -656,7 +644,7 @@ def _run_mc_point(spec: ScenarioSpec, ctx: Orchestrator) -> RunnerOutput:
     """A single policy/system/workload Monte-Carlo estimate."""
     params = spec.system.to_parameters()
     policy = (spec.policy or PolicySpec()).build(params, spec.workload)
-    estimate, report = _estimate(spec, ctx, params, policy, spec.seed)
+    estimate, report = _estimate(spec, ctx, policy, spec.seed)
     summary = estimate.summary
     gain = getattr(policy, "gain", None)
     scalars = {
@@ -706,11 +694,11 @@ def _run_delay_point(spec: ScenarioSpec, ctx: Orchestrator) -> RunnerOutput:
 
     optimum = optimal_gain_lbp1(params, spec.workload)
     lbp1 = LBP1(optimum.optimal_gain, sender=optimum.sender, receiver=optimum.receiver)
-    lbp1_estimate, _ = _estimate(spec, ctx, params, lbp1, seeds[0])
+    lbp1_estimate, _ = _estimate(spec, ctx, lbp1, seeds[0])
     lbp1_mean = lbp1_estimate.mean_completion_time
 
     initial_gain = optimal_gain_lbp2_initial(params, spec.workload).optimal_gain
-    lbp2_estimate, _ = _estimate(spec, ctx, params, LBP2(initial_gain), seeds[1])
+    lbp2_estimate, _ = _estimate(spec, ctx, LBP2(initial_gain), seeds[1])
     lbp2_mean = lbp2_estimate.mean_completion_time
 
     delay = params.delay.mean_delay_per_task

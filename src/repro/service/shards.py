@@ -413,7 +413,6 @@ class BoardExecutor(ShardExecutor):
     """
 
     name = "workers"
-    transport = "json"  # items cross HTTP; only spec-described runs fit
     slot_depth = DEFAULT_CLAIM_BATCH
 
     def __init__(self, board: ShardBoard) -> None:

@@ -64,7 +64,7 @@ class TestRegistry:
         from repro.backends import base
         from repro.backends.reference import ReferenceBackend
         from repro.core.policies.lbp1 import LBP1
-        from repro.montecarlo.engine import EngineRequest, run_engine
+        from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
         calls = []
 
@@ -78,12 +78,9 @@ class TestRegistry:
         monkeypatch.setitem(base._REGISTRY, "reference", Replacement())
         estimate = run_engine(
             EngineRequest(
-                params=fast_params,
-                policy=LBP1(0.35),
-                workload=(10, 6),
-                num_realisations=3,
-                seed=1,
-                backend="reference",
+                spec=mc_point_spec(
+                    fast_params, LBP1(0.35), (10, 6), 3, seed=1, backend="reference"
+                )
             )
         ).estimate
         assert calls and estimate.num_realisations == 3

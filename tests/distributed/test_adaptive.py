@@ -89,10 +89,12 @@ class TestEngineAdaptiveEquivalence:
     ):
         from repro.distributed.scheduler import ShardScheduler
         from repro.distributed.store import ShardStore
-        from repro.montecarlo.engine import EngineRequest, run_engine
+        from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
         store = ShardStore(tmp_path / "store")
-        first = run_engine(EngineRequest(**request_kwargs, store=store))
+        first = run_engine(
+            EngineRequest(spec=mc_point_spec(**request_kwargs), store=store)
+        )
         passes = []
         original = ShardScheduler.run
 
@@ -101,8 +103,8 @@ class TestEngineAdaptiveEquivalence:
             return original(scheduler, items)
 
         monkeypatch.setattr(ShardScheduler, "run", counting_run)
-        grown = dict(request_kwargs, num_realisations=96)
-        second = run_engine(EngineRequest(**grown, store=store))
+        grown = mc_point_spec(**dict(request_kwargs, num_realisations=96))
+        second = run_engine(EngineRequest(spec=grown, store=store))
         # The grown run reads its 8 old blocks from the cache and cuts
         # the 8-block delta by the one-slot rule: no probe wave, a single
         # pass of 4 shards, whose blocks record their own compute time.
@@ -110,6 +112,6 @@ class TestEngineAdaptiveEquivalence:
         assert passes == [SHARDS_PER_SLOT]
         assert second.shards_dispatched == SHARDS_PER_SLOT
         assert second.timings["block_compute_seconds"] > 0.0
-        serial = run_engine(EngineRequest(**grown, shards=1, refresh=True))
+        serial = run_engine(EngineRequest(spec=grown, shards=1, refresh=True))
         assert serial.stats.mean == second.stats.mean
         assert serial.stats.variance == second.stats.variance

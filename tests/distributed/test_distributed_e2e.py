@@ -85,6 +85,7 @@ class ServeProcess:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
 
 def _spawn_worker(url: str, cache_dir: str, name: str) -> subprocess.Popen:
@@ -218,6 +219,8 @@ def test_sharded_gain_sweep_through_a_two_worker_fleet(cache_dir):
                     worker.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     worker.kill()
+                    worker.wait(timeout=10)
+                worker.stdout.close()
 
 
 def test_worker_help_is_fast_and_stack_free(cache_dir):

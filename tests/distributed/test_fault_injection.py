@@ -106,16 +106,18 @@ class TestEngineUnderFaults:
 
     @pytest.fixture
     def serial(self, request_kwargs):
-        from repro.montecarlo.engine import EngineRequest, run_engine
+        from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
-        return run_engine(EngineRequest(**request_kwargs, shards=1))
+        return run_engine(
+            EngineRequest(spec=mc_point_spec(**request_kwargs), shards=1)
+        )
 
     def _run_chaotic(self, request_kwargs, **chaos):
-        from repro.montecarlo.engine import EngineRequest, run_engine
+        from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
         return run_engine(
             EngineRequest(
-                **request_kwargs,
+                spec=mc_point_spec(**request_kwargs),
                 shards=4,
                 executor=ChaosExecutor(**chaos),
                 shard_timeout=0.5,

@@ -170,6 +170,18 @@ class TestCrossProcessTelemetry:
         identity = sum(report.attribution.values())
         assert identity == pytest.approx(report.wall_seconds, rel=0.05)
 
+    def test_phases_tile_the_wall_clock(self):
+        """Plan, execute and merge are the whole run: no code between or
+        around them goes untimed, so a preempted process cannot open a gap
+        in the ledger's identity."""
+        report = _run(_spec(shards=4), executor="inline")
+        phases = (
+            report.attribution["plan_seconds"]
+            + report.timings["execute_seconds"]
+            + report.timings["merge_seconds"]
+        )
+        assert phases == pytest.approx(report.wall_seconds, rel=1e-9)
+
 
 class TestShardLevelCaching:
     def test_second_run_is_pure_cache_read(self):

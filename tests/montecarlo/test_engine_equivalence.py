@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies.lbp1 import LBP1
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, SystemSpec
 
 
@@ -20,9 +20,10 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
 
-def _request(fast_params, backend=None, **overrides):
-    base = dict(
-        params=fast_params,
+def _request(fast_params, backend="reference", **overrides):
+    """The matrix's LBP-1 ensemble: overrides of a builder keyword change
+    the sample (the spec), the rest only tune its execution."""
+    sample = dict(
         policy=LBP1(0.4, sender=0, receiver=1),
         workload=(20, 12),
         num_realisations=20,
@@ -30,8 +31,9 @@ def _request(fast_params, backend=None, **overrides):
         backend=backend,
         block_size=4,
     )
-    base.update(overrides)
-    return EngineRequest(**base)
+    for key in sample.keys() & overrides.keys():
+        sample[key] = overrides.pop(key)
+    return EngineRequest(spec=mc_point_spec(fast_params, **sample), **overrides)
 
 
 def _spec(backend, shards):
@@ -124,28 +126,37 @@ class TestEngineBehaviour:
             first.completion_times, second.completion_times
         )
 
-    def test_adhoc_requests_still_run_everywhere(self, fast_params):
-        """A horizon-carrying request cannot be spec-described, but inline
-        and pooled execution must still agree exactly."""
-        serial = run_engine(_request(fast_params, horizon=1e9))
-        pooled = run_engine(
-            _request(fast_params, horizon=1e9, executor="process", workers=2)
-        )
-        np.testing.assert_array_equal(
-            serial.estimate.completion_times, pooled.estimate.completion_times
-        )
-        assert serial.estimate.summary == pooled.estimate.summary
-
-    def test_adhoc_and_spec_described_runs_are_bit_identical(self, fast_params):
-        """int seeds and SeedSequence(seed) draw the same block streams, so
-        the ad-hoc API and an equivalent spec agree exactly."""
+    def test_built_and_hand_written_specs_are_bit_identical(self):
+        """The builder's spec and an equivalent hand-written one (another
+        name, a pinned shard count) draw the same sample."""
         paper = SystemSpec.paper().to_parameters()
-        adhoc = run_engine(_request(paper, "reference")).estimate
+        built = run_engine(_request(paper, "reference")).estimate
         spec_run = run_engine(
             EngineRequest(spec=_spec("reference", 1), executor="inline")
         ).estimate
         np.testing.assert_array_equal(
-            adhoc.completion_times, spec_run.completion_times
+            built.completion_times, spec_run.completion_times
+        )
+
+    def test_builder_identity_is_pinned(self):
+        """Every cached block of fig3, table2, fig5 and delay_sweep is keyed
+        by the builder's spec; a drift here recomputes all of them."""
+        from repro.core.parameters import paper_parameters
+        from repro.distributed.plan import shard_plan_key
+        from repro.sim.rng import spawn_seeds
+
+        spec = mc_point_spec(
+            paper_parameters(),
+            LBP1(0.35, sender=0, receiver=1),
+            (100, 60),
+            96,
+            spawn_seeds(1, 2)[0],
+        )
+        assert spec.content_hash == (
+            "c78c456404be24d88de2eb25d960f9f9bafc9f39816fef7f4ed7684890bdb719"
+        )
+        assert shard_plan_key(spec) == (
+            "209ef9fc6e1f8455e32f799381060989dcadc62637cf8ebcfdea8753b6da2606"
         )
 
     def test_every_run_can_use_the_shard_store(self, fast_params, scheduler_runs):
@@ -183,9 +194,10 @@ class TestEngineBehaviour:
         )
         assert sharded.blocks_cached == sharded.blocks_total == 5
 
-    def test_custom_policy_falls_back_to_adhoc_mode(self, fast_params):
+    def test_builder_rejects_a_custom_policy(self, fast_params):
+        """A custom policy has no spec form: it runs through
+        MonteCarloRunner or a backend's run_batch, never the engine."""
         from repro.core.policies.base import LoadBalancingPolicy
-        from repro.distributed.store import ShardStore
 
         class Quirky(LoadBalancingPolicy):
             name = "quirky"
@@ -193,84 +205,24 @@ class TestEngineBehaviour:
             def initial_transfers(self, loads, params):
                 return []
 
-        store = ShardStore()
-        report = run_engine(
-            _request(fast_params, policy=Quirky(), store=store)
-        )
-        # No spec identity -> no block-cache entries, but the run succeeds.
-        assert report.estimate.num_realisations == 20
-        assert len(store) == 0
+        with pytest.raises(ValueError, match="cannot serialize policy"):
+            _request(fast_params, policy=Quirky())
 
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            "custom-policy",
-            "horizon",
-            "pairwise-delays",
-            "system-kwargs",
-            "spawned-seed",
-            "backend-instance",
-        ],
-    )
-    def test_json_transport_still_rejects_unregistered_policies(
-        self, fast_params, shape
-    ):
-        """Every ad-hoc shape is refused on a JSON transport before the
-        executor starts a single item — on a recording stand-in and on the
-        real worker board, where a registered worker then finds nothing to
-        claim.  Pickle carries these runs inline and to process pools."""
+    def test_builder_rejects_non_spec_inputs(self, fast_params):
+        """Pairwise delay overrides and a backend instance have no spec
+        form either."""
         from repro.backends.reference import ReferenceBackend
         from repro.core.parameters import TransferDelayModel
-        from repro.core.policies.base import LoadBalancingPolicy
-        from repro.distributed.executors import InlineExecutor
-        from repro.service.shards import BoardExecutor, ShardBoard
 
-        class Quirky(LoadBalancingPolicy):
-            name = "quirky"
-
-            def initial_transfers(self, loads, params):
-                return []
-
-        class JsonOnly(InlineExecutor):
-            transport = "json"
-
-            def __init__(self):
-                super().__init__()
-                self.started = []
-
-            def start(self, slot, item):
-                self.started.append(item)
-                super().start(slot, item)
-
-        overrides = {
-            "custom-policy": dict(policy=Quirky()),
-            "horizon": dict(horizon=1e9),
-            "pairwise-delays": dict(
-                params=fast_params.with_pairwise_delays(
-                    [((0, 1), TransferDelayModel(mean_delay_per_task=0.5))]
-                )
-            ),
-            "system-kwargs": dict(system_kwargs={"preemption": "restart"}),
-            # A spawned seed on its own folds into a spec seed (int_seed);
-            # it is an ad-hoc shape whenever the run is ad-hoc anyway.
-            "spawned-seed": dict(
-                horizon=1e9, seed=np.random.SeedSequence(7).spawn(2)[1]
-            ),
-            "backend-instance": dict(backend=ReferenceBackend()),
-        }[shape]
-
-        recording = JsonOnly()
-        with pytest.raises(ValueError, match="JSON-transport"):
-            run_engine(_request(fast_params, executor=recording, **overrides))
-        assert recording.started == []
-
-        board = ShardBoard()
-        worker = board.register("w")
-        with pytest.raises(ValueError, match="JSON-transport"):
-            run_engine(
-                _request(fast_params, executor=BoardExecutor(board), **overrides)
-            )
-        assert board.claim_batch(worker, batch=8) == []
+        pairwise = fast_params.with_pairwise_delays(
+            [((0, 1), TransferDelayModel(mean_delay_per_task=0.5))]
+        )
+        with pytest.raises(ValueError, match="pairwise delay overrides"):
+            _request(pairwise)
+        with pytest.raises(
+            ValueError, match="backend must be a non-empty backend name"
+        ):
+            _request(fast_params, backend=ReferenceBackend())
 
     def test_fresh_store_instances_resume_and_grow_identically(self, fast_params):
         """Blocks written by one ShardStore instance feed resumed and grown

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from repro.core.policies import LBP1, NoBalancing
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
 
-def _estimate(params, policy, workload, num_realisations, seed, **execution):
+def _estimate(
+    params, policy, workload, num_realisations, seed, backend="reference", **execution
+):
     return run_engine(
         EngineRequest(
-            params=params,
-            policy=policy,
-            workload=workload,
-            num_realisations=num_realisations,
-            seed=seed,
+            spec=mc_point_spec(
+                params, policy, workload, num_realisations, seed, backend
+            ),
             **execution,
         )
     ).estimate

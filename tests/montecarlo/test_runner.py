@@ -5,19 +5,15 @@ import pytest
 
 from repro.core.completion_time import CompletionTimeSolver
 from repro.core.policies import LBP1, NoBalancing
-from repro.montecarlo.engine import EngineRequest, run_engine
+from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 from repro.montecarlo.runner import MonteCarloEstimate, MonteCarloRunner
 
 
-def _estimate(params, policy, workload, num_realisations, **kwargs):
-    """One inline engine run of an ad-hoc request."""
+def _estimate(params, policy, workload, num_realisations, **builder):
+    """One inline engine run of a built mc-point spec."""
     return run_engine(
         EngineRequest(
-            params=params,
-            policy=policy,
-            workload=workload,
-            num_realisations=num_realisations,
-            **kwargs,
+            spec=mc_point_spec(params, policy, workload, num_realisations, **builder)
         )
     ).estimate
 

@@ -209,7 +209,7 @@ def test_process_default_registry_is_shared():
 def test_engine_phase_series_carry_the_attribution_ledger(fast_params):
     """One engine run adds one phase sample per ledger component."""
     from repro.core.policies import LBP1
-    from repro.montecarlo.engine import EngineRequest, run_engine
+    from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
     from repro.obs.history import ATTRIBUTION_KEYS
 
     def phases():
@@ -222,11 +222,7 @@ def test_engine_phase_series_carry_the_attribution_ledger(fast_params):
     before = phases()
     report = run_engine(
         EngineRequest(
-            params=fast_params,
-            policy=LBP1(0.5),
-            workload=(20, 5),
-            num_realisations=8,
-            seed=3,
+            spec=mc_point_spec(fast_params, LBP1(0.5), (20, 5), 8, seed=3),
             executor="inline",
         )
     )

@@ -77,17 +77,19 @@ class TestRun:
 
     def test_mc_point_matches_direct_monte_carlo(self, orchestrator):
         from repro.core.policies.lbp1 import LBP1
-        from repro.montecarlo.engine import EngineRequest, run_engine
+        from repro.montecarlo.engine import EngineRequest, mc_point_spec, run_engine
 
         spec = tiny_spec()
         result = orchestrator.run(spec)
         direct = run_engine(
             EngineRequest(
-                params=spec.system.to_parameters(),
-                policy=LBP1(0.35, sender=0, receiver=1),
-                workload=spec.workload,
-                num_realisations=spec.mc_realisations,
-                seed=spec.seed,
+                spec=mc_point_spec(
+                    spec.system.to_parameters(),
+                    LBP1(0.35, sender=0, receiver=1),
+                    spec.workload,
+                    spec.mc_realisations,
+                    spec.seed,
+                )
             )
         ).estimate
         np.testing.assert_array_equal(
@@ -136,27 +138,6 @@ class TestSweepAndCompare:
         assert "Scenario comparison" in text
         assert "tiny" in text
         assert "mean completion time" in text
-
-    def test_estimate_falls_back_to_adhoc_for_custom_policies(self, tmp_path):
-        """A runner-built policy outside the built-in kinds still estimates
-        (ad-hoc engine mode), it just cannot use the shard store."""
-        from repro.core.policies.base import LoadBalancingPolicy
-        from repro.scenarios.orchestrator import Orchestrator, _estimate
-
-        class Quirky(LoadBalancingPolicy):
-            name = "quirky"
-
-            def initial_transfers(self, loads, params):
-                return []
-
-        spec = tiny_spec()
-        with Orchestrator(cache=None, use_cache=False) as ctx:
-            estimate, report = _estimate(
-                spec, ctx, spec.system.to_parameters(), Quirky(), spec.seed
-            )
-        assert estimate.policy_name == "quirky"
-        assert estimate.num_realisations == spec.mc_realisations
-        assert report.blocks_cached == 0
 
     def test_delay_point_runner(self, orchestrator):
         spec = resolve("delay-sweep/d=0.5", quick=True).with_(mc_realisations=3)

@@ -56,6 +56,7 @@ class ServeProcess:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
 
 @pytest.fixture

@@ -29,11 +29,7 @@ def test_program_trace_hooks_fit_one_inline_engine_run(monkeypatch, fast_params)
     try:
         report = engine.run_engine(
             engine.EngineRequest(
-                params=fast_params,
-                policy=LBP1(0.5),
-                workload=(20, 5),
-                num_realisations=8,
-                seed=3,
+                spec=engine.mc_point_spec(fast_params, LBP1(0.5), (20, 5), 8, seed=3),
                 executor="inline",
             )
         )
@@ -69,12 +65,9 @@ def test_run_records_feed_the_fleet_ledger_entry(monkeypatch, fast_params):
     for shards in (2, None):
         engine.run_engine(
             engine.EngineRequest(
-                params=fast_params,
-                policy=LBP1(0.5),
-                workload=(20, 5),
-                num_realisations=8,
-                seed=3,
-                block_size=2,
+                spec=engine.mc_point_spec(
+                    fast_params, LBP1(0.5), (20, 5), 8, seed=3, block_size=2
+                ),
                 shards=shards,
             )
         )

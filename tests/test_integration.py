@@ -16,6 +16,7 @@ from repro import (
     CompletionTimeSolver,
     EngineRequest,
     NoBalancing,
+    mc_point_spec,
     optimal_gain_lbp1,
     optimal_gain_no_failure,
     paper_parameters,
@@ -26,14 +27,10 @@ from repro.montecarlo.statistics import evaluate_empirical_cdf
 
 
 def _estimate(params, policy, workload, num_realisations, seed):
-    """One inline engine run of an ad-hoc request."""
+    """One inline engine run of a built mc-point spec."""
     return run_engine(
         EngineRequest(
-            params=params,
-            policy=policy,
-            workload=workload,
-            num_realisations=num_realisations,
-            seed=seed,
+            spec=mc_point_spec(params, policy, workload, num_realisations, seed)
         )
     ).estimate
 

@@ -71,8 +71,9 @@ def test_examples_exist():
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
 def test_example_imports_resolve(path):
-    """No test runs the examples, so at least every ``repro`` name they
-    import must exist (a removed API would otherwise break them silently)."""
+    """Tier-1 does not run the examples (CI's bench job does), so at least
+    every ``repro`` name they import must exist here (a removed API would
+    otherwise break them silently)."""
     for module_name, name in _repro_imports(path):
         module = importlib.import_module(module_name)
         if name is None or hasattr(module, name):
