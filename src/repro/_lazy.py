@@ -1,11 +1,14 @@
 """PEP 562 lazy re-exports, shared by the package ``__init__`` modules.
 
-Several packages (:mod:`repro`, :mod:`repro.scenarios`,
-:mod:`repro.backends`, :mod:`repro.service`) re-export their public names
-lazily so that importing the package costs nothing until a name is actually
-used — the discipline that keeps cache-hit CLI runs and the results
-service's request path free of numpy/scipy.  The ``__getattr__``/``__dir__``
-machinery is identical everywhere, so it is built once here:
+Several packages (:mod:`repro`, :mod:`repro.analysis`,
+:mod:`repro.backends`, :mod:`repro.core`, :mod:`repro.distributed`,
+:mod:`repro.montecarlo`, :mod:`repro.obs`, :mod:`repro.scenarios`,
+:mod:`repro.service`) re-export their public names lazily so that
+importing the package costs nothing until a name is actually used — the
+discipline that keeps cache-hit CLI runs and the results service's request
+path free of numpy/scipy, and block runtimes free of scipy.  The
+``__getattr__``/``__dir__`` machinery is identical everywhere, so it is
+built once here:
 
     _EXPORTS = {"repro.foo.bar": ("Baz", "qux"), ...}
     __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ class ExponentialFit:
 
 def fit_exponential(samples: Sequence[float]) -> ExponentialFit:
     """Maximum-likelihood exponential fit with a KS goodness-of-fit check."""
+    from scipy import stats
+
     data = np.asarray(list(samples), dtype=float)
     if data.size == 0:
         raise ValueError("need at least one sample")

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply, spsolve
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from repro.core.parameters import SystemParameters
 from repro.core.state import validate_work_state
@@ -45,6 +45,15 @@ __all__ = [
 State = Hashable
 SuccessorFn = Callable[[State], Iterable[Tuple[State, float]]]
 AbsorbingFn = Callable[[State], bool]
+
+
+def _poisson_pmf(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson probabilities ``P(N = k)`` for means ``mu`` (broadcast).
+
+    The expression ``scipy.stats.poisson.pmf`` evaluates, bit for bit,
+    without importing ``scipy.stats``.
+    """
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 class AbsorbingCTMC:
@@ -209,7 +218,7 @@ class AbsorbingCTMC:
         remaining = np.ones(len(times))
         for first in range(0, n_terms + 1, len(block)):
             terms = np.arange(first, min(first + len(block), n_terms + 1))
-            weights = poisson.pmf(terms[None, :], mean_jumps)
+            weights = _poisson_pmf(terms[None, :], mean_jumps)
             for used in range(1, len(terms) + 1):
                 block[used - 1] = vector
                 remaining -= weights[:, used - 1]

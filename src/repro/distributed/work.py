@@ -43,7 +43,9 @@ def warm_block_runtime() -> float:
 
     The heavy imports behind :func:`run_block` — numpy, the spec machinery,
     the statistics accumulator and the execution backends — dominate a cold
-    process's first work item.  Pool initializers
+    process's first work item.  None of them imports scipy: a block never
+    computes an interval, so scipy loads only where one is merged.  Pool
+    initializers
     (:class:`~repro.distributed.executors.ProcessShardExecutor`) and
     ``repro worker`` start-up call this once, so every slot is warm before
     the first claim and each dispatch pays compute, not imports.
@@ -129,7 +131,6 @@ def make_work_item(
     shard_index: int,
     spec_dict: Dict[str, Any],
     blocks: List[SeedBlock],
-    confidence_level: float = 0.95,
 ) -> Dict[str, Any]:
     """Assemble the JSON work item for one shard."""
     return {
@@ -139,7 +140,6 @@ def make_work_item(
         "shard": shard_index,
         "spec": spec_dict,
         "blocks": [list(block.to_item()) for block in blocks],
-        "confidence_level": confidence_level,
     }
 
 

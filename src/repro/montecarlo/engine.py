@@ -309,7 +309,6 @@ def run_engine(request: EngineRequest) -> EngineReport:
                 shard_index=shard.index,
                 spec_dict=spec_dict,
                 blocks=list(shard.blocks),
-                confidence_level=request.confidence_level,
             )
             for shard in shards
         }

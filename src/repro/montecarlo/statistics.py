@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,18 @@ class SummaryStatistics:
         return self.ci_low <= value <= self.ci_high
 
 
+def _t_critical(confidence_level: float, n: int) -> float:
+    """Two-sided Student-t critical value of a sample of ``n``.
+
+    ``stdtrit`` is what ``scipy.stats.t.ppf`` evaluates, bit for bit; it
+    is imported here, at the first interval, because ``scipy.stats`` takes
+    most of a second to import and block runtimes never need it.
+    """
+    from scipy.special import stdtrit
+
+    return stdtrit(n - 1, 0.5 + confidence_level / 2.0)
+
+
 def summarize(values: Sequence[float], confidence_level: float = 0.95) -> SummaryStatistics:
     """Compute :class:`SummaryStatistics` of a sample.
 
@@ -76,7 +87,7 @@ def summarize(values: Sequence[float], confidence_level: float = 0.95) -> Summar
     std = float(data.std(ddof=1)) if data.size > 1 else 0.0
     if data.size > 1 and std > 0:
         half = float(
-            stats.t.ppf(0.5 + confidence_level / 2.0, df=data.size - 1)
+            _t_critical(confidence_level, data.size)
             * std
             / math.sqrt(data.size)
         )
@@ -239,7 +250,7 @@ class RunningStatistics:
         std = self.std
         if self.count > 1 and std > 0:
             half = float(
-                stats.t.ppf(0.5 + confidence_level / 2.0, df=self.count - 1)
+                _t_critical(confidence_level, self.count)
                 * std
                 / math.sqrt(self.count)
             )

@@ -164,13 +164,15 @@ def compare_policies(
     """Monte-Carlo comparison of several built-in policies on the same
     workload.
 
-    All policies see the same master seed, hence the same block seed
-    streams (common random numbers), which sharpens the comparison between
-    them.  When two policies share a name (e.g. two LBP-1 instances with
-    different gains) the later ones get a ``#k`` suffix in the result
-    dictionary.
+    All policies see the same master seed (``seed=None`` draws one fresh
+    seed for all of them), hence the same block seed streams (common
+    random numbers), which sharpens the comparison between them.  When
+    two policies share a name (e.g. two LBP-1 instances with different
+    gains) the later ones get a ``#k`` suffix in the result dictionary.
     """
     workload_t = tuple(workload)
+    if seed is None:
+        seed = np.random.SeedSequence()
     estimates: Dict[str, MonteCarloEstimate] = {}
     for index, policy in enumerate(policies):
         key = policy.name

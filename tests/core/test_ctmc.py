@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.ctmc import AbsorbingCTMC, build_chain, build_two_node_lbp1_chain
+from repro.core.ctmc import (
+    AbsorbingCTMC,
+    _poisson_pmf,
+    build_chain,
+    build_two_node_lbp1_chain,
+)
 from repro.core.parameters import NodeParameters, SystemParameters, TransferDelayModel
 
 
@@ -156,6 +161,27 @@ class TestTransientAnalysis:
 
         got = chain.transient_distribution(0, times, method="uniformization")
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e3 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "mean_max",
+        [
+            # rate x horizon of the grids the tests above put through the
+            # series, then a long CDF horizon's.
+            two_state_chain(rate=2.0).uniformization_rate() * 3.0,
+            three_state_chain(a=1.5, b=0.7).uniformization_rate() * 8.0,
+            three_state_chain().uniformization_rate() * 20.0,
+            three_state_chain(a=1.0, b=2.0).uniformization_rate() * 60.0,
+            5000.0,
+        ],
+    )
+    def test_poisson_weights_are_scipy_stats_poisson_pmf_bit_for_bit(self, mean_max):
+        # Every term the series could reach, at means spanning the grid.
+        from scipy.stats import poisson
+
+        means = np.linspace(0.0, mean_max, 500)[:, None]
+        n_terms = int(np.ceil(mean_max + 10.0 * np.sqrt(mean_max + 1.0) + 20.0))
+        terms = np.arange(n_terms + 1)[None, :]
+        assert np.array_equal(_poisson_pmf(terms, means), poisson.pmf(terms, means))
 
     def test_mean_from_cdf_matches_direct_solution(self):
         chain = three_state_chain(a=1.0, b=2.0)

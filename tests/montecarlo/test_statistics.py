@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.montecarlo.statistics import (
     SummaryStatistics,
+    _t_critical,
     empirical_cdf,
     evaluate_empirical_cdf,
     summarize,
@@ -57,6 +58,17 @@ class TestSummarize:
             if summarize(sample).contains(2.0):
                 covered += 1
         assert 0.88 <= covered / trials <= 0.99
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_t_critical_is_scipy_stats_t_ppf_bit_for_bit(self, level):
+        # The library computes the quantile without importing scipy.stats;
+        # the test holds it to the value scipy.stats has always returned.
+        from scipy import stats
+
+        df = np.arange(1, 3003)
+        expected = stats.t.ppf(0.5 + level / 2, df)
+        got = np.array([_t_critical(level, int(d) + 1) for d in df])
+        assert np.array_equal(got, expected)
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)

@@ -80,6 +80,16 @@ class TestComparePolicies:
         )
         assert len(estimates) == 2
 
+    def test_unseeded_policies_share_their_random_numbers(self, paper_params):
+        twins = [LBP1(0.35, sender=0, receiver=1), LBP1(0.35, sender=0, receiver=1)]
+        estimates = compare_policies(
+            paper_params, (10, 6), twins, num_realisations=4, seed=None
+        )
+        np.testing.assert_array_equal(
+            estimates["LBP-1"].completion_times,
+            estimates["LBP-1#1"].completion_times,
+        )
+
     def test_balancing_beats_no_balancing_for_skewed_load(self, fast_params):
         estimates = compare_policies(
             fast_params, (60, 0), [NoBalancing(), LBP1(0.6)], num_realisations=60, seed=1
