@@ -32,6 +32,7 @@ from repro.core.policies import (
     ProportionalOneShot,
     SendAllOnFailure,
 )
+from repro.core.policies.base import LoadBalancingPolicy, Transfer
 from repro.sim.distributions import Uniform
 from repro.sim.rng import RandomStreams
 
@@ -57,6 +58,60 @@ STARTS_DOWN = SystemParameters(
         NodeParameters(service_rate=1.86, failure_rate=0.05, recovery_rate=0.05),
     ),
 )
+
+PAIRWISE_DELAYS = PAPER.with_pairwise_delays(
+    (
+        ((0, 1), TransferDelayModel(mean_delay_per_task=0.05, kind="erlang")),
+        ((1, 0), TransferDelayModel(mean_delay_per_task=0.03)),
+    )
+)
+
+#: Both nodes are down a third of the time, so they are often down together.
+CHURN = SystemParameters(
+    nodes=(
+        NodeParameters(service_rate=1.08, failure_rate=0.1, recovery_rate=0.05),
+        NodeParameters(service_rate=1.86, failure_rate=0.1, recovery_rate=0.05),
+    ),
+)
+
+THREE_NODES_ONE_DOWN = SystemParameters(
+    nodes=(
+        NodeParameters(service_rate=2.0, failure_rate=0.1, recovery_rate=0.2),
+        NodeParameters(
+            service_rate=1.0, failure_rate=0.05, recovery_rate=0.1,
+            initially_up=False,
+        ),
+        NodeParameters(service_rate=0.5, failure_rate=0.02, recovery_rate=0.1),
+    ),
+    delay=TransferDelayModel(mean_delay_per_task=0.02),
+)
+
+
+class Rescue(LoadBalancingPolicy):
+    """Test-only two-node policy that moves whole queues on every event.
+
+    At a failure it asks for more tasks than the failed node holds (and
+    then for one more, which finds the queue empty).  At a recovery it
+    takes every waiting task off the other node, which may still be down:
+    the task that node was serving then travels with its residual.
+    """
+
+    name = "rescue"
+
+    def initial_transfers(self, workload, params):
+        return []
+
+    def on_failure(self, failed_node, queue_sizes, params, time=0.0):
+        other = 1 - failed_node
+        return [
+            Transfer(failed_node, other, queue_sizes[failed_node] + 3),
+            Transfer(failed_node, other, 1),
+        ]
+
+    def on_recovery(self, recovered_node, queue_sizes, params, time=0.0):
+        other = 1 - recovered_node
+        return [Transfer(other, recovered_node, queue_sizes[other])]
+
 
 #: name -> (params, policy, workload, run_batch keyword arguments)
 CASES = {
@@ -86,6 +141,15 @@ CASES = {
     "failure-free": (
         paper_parameters(with_failures=False), LBP1(0.4), (40, 20), {}
     ),
+    "pairwise-delays": (PAIRWISE_DELAYS, LBP2(1.0), (40, 20), {}),
+    "rescue": (CHURN, Rescue(), (40, 20), {}),
+    "lbp2-restart": (PAPER, LBP2(1.0), (40, 20), {"preemption": "restart"}),
+    "zero-delay-trace": (
+        paper_parameters(mean_delay_per_task=0.0), LBP2(1.0), (60, 0),
+        {"record_trace": True},
+    ),
+    "three-node-starts-down": (THREE_NODES_ONE_DOWN, LBP1(0.4), (30, 10, 20), {}),
+    "empty": (PAPER, LBP2(1.0), (0, 0), {"record_trace": True}),
 }
 
 #: name -> (sha256 of completion_times, sha256 of every realisation's result)
@@ -93,6 +157,10 @@ GOLDEN = {
     "deterministic-delay": (
         "83a3730d9219f3b006a2e015e848999d43a1a1669154bddc5c8dec25af5d76c3",
         "b22d6ecd03c074320f4d79f1b2f13a4d2278f1a11baae0739c515093af57b64d",
+    ),
+    "empty": (
+        "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+        "536c4f117d8a4e651a7875a5f66f270439b3a7defe308584f053a1b2568a9963",
     ),
     "erlang-delay": (
         "543e5a216573a153537896064ba9ac7914640f07e954694f20c799f4eb6c0cc2",
@@ -118,13 +186,25 @@ GOLDEN = {
         "4585c739d880b7fc425a334ee3460036159658598e230ae44acf4ebb954fa3bb",
         "cf400307b533a7eb2687ded43245a429f3b1021bee016f5a5ddf4017ff074575",
     ),
+    "lbp2-restart": (
+        "484bbedc9a719c46f8cea6a36478b91f9fbda9c3c32912b576fbcd9ed8f938fe",
+        "d5f6ba01bddca7f6791194c0ba3152907468db71297f36d12fdbf55c5ee539c9",
+    ),
     "none": (
         "2aca264d24faa2a189531502c4bca9d75c2b7206403f2a97908819d7ab75b6da",
         "8e143b03ada4c253029e83fc7e08dc150cabde5aef357040752c31c88af3f7e8",
     ),
+    "pairwise-delays": (
+        "e3b92f7ccbfd1fe67afa11991be092ea6befa23899c783be937ec22c87a50211",
+        "07e22f1853e26da4887c6bdfb56e3ffe36fd85bbd55ba129c37878728f1927be",
+    ),
     "proportional": (
         "4585c739d880b7fc425a334ee3460036159658598e230ae44acf4ebb954fa3bb",
         "cc0fcf753d7133de9d2dc2981017cf366c04b1b6256916ef58aa109cc8c560cc",
+    ),
+    "rescue": (
+        "5a55f68ec592b05ef22ea205d391e8e6c0d5a3e4ccb1a0fb115a1486a5106f51",
+        "2bc542f80284a4a3744e9618e463900311b0653594a9c79605c75d1396203fd3",
     ),
     "restart": (
         "236f5373f4d5171aa38a6d3af16d4cdf1de594cd410c07d8b13711598d3028e1",
@@ -146,6 +226,10 @@ GOLDEN = {
         "bcdbdb3b515e170d3477510b791cc78ae62b7b12579afa5ca1d8d9f3ff24486d",
         "3a3d2bb189bb38a51e7c1e852f609e7cfe44f22686c203d1a1b249d18e5e714f",
     ),
+    "three-node-starts-down": (
+        "6b8f70902422123bd4d09eea4eba6dfc72f9f6911525995e38e0eea1208f40c6",
+        "f79e081e12cd9ecb3cd6f84ad61b26f761616a4ba8f0f468fb8ba48870081dc4",
+    ),
     "trace": (
         "e3b92f7ccbfd1fe67afa11991be092ea6befa23899c783be937ec22c87a50211",
         "5306d1f5c580ef8db89f04dda27797c75927d2f2e1098233993cfb3b2b07d898",
@@ -153,6 +237,10 @@ GOLDEN = {
     "zero-delay": (
         "e3b92f7ccbfd1fe67afa11991be092ea6befa23899c783be937ec22c87a50211",
         "f2b7c6e8917f118d312ae692636d9e7cd1683a62e484bee24041e914cb9c439b",
+    ),
+    "zero-delay-trace": (
+        "e3b92f7ccbfd1fe67afa11991be092ea6befa23899c783be937ec22c87a50211",
+        "7ed173ae6f65c54e5f288330149735b875ac4563e8e3a07a547bb1cdc96f0ad2",
     ),
 }
 
