@@ -23,8 +23,8 @@ Semantics are matched to :mod:`repro.cluster` event by event:
 * failures/recoveries alternate at rates ``λ_f``/``λ_r``;
 * at a failure instant the task in service stays with the node (its
   context is held by the backup system), so compensation transfers can
-  draw on at most ``queue - 1`` tasks — the same capping the
-  :class:`~repro.cluster.backup.BackupAgent` applies;
+  draw on at most ``queue - 1`` tasks — the same capping the reference
+  :class:`~repro.cluster.system.DistributedSystem` applies;
 * each in-flight batch of ``L`` tasks is an independent exponential clock
   with mean ``overhead + d·L`` (or an ``L``-stage Erlang chain);
 * the completion time is the instant of the last task completion.
@@ -60,9 +60,7 @@ from repro.montecarlo.runner import MonteCarloEstimate
 from repro.sim.rng import SeedLike
 
 #: ``system_kwargs`` the kernel understands; anything else is rejected.
-_KNOWN_SYSTEM_KWARGS = frozenset(
-    {"preemption", "record_trace", "size_distribution"}
-)
+_KNOWN_SYSTEM_KWARGS = frozenset({"preemption", "record_trace"})
 
 
 def _check_delay_model(model: TransferDelayModel) -> None:

@@ -59,8 +59,6 @@ class Network:
     deliver:
         Callback ``f(destination_index, tasks)`` that hands a delivered batch
         to the receiving node.
-    on_transfer_started / on_transfer_arrived:
-        Optional tracing callbacks ``f(record)``.
     """
 
     def __init__(
@@ -69,15 +67,11 @@ class Network:
         params: SystemParameters,
         rng: np.random.Generator,
         deliver: Callable[[int, List[Task]], None],
-        on_transfer_started: Optional[Callable[[TransferRecord], None]] = None,
-        on_transfer_arrived: Optional[Callable[[TransferRecord], None]] = None,
     ) -> None:
         self.env = env
         self.params = params
         self.rng = rng
         self._deliver = deliver
-        self._on_started = on_transfer_started
-        self._on_arrived = on_transfer_arrived
 
         self.records: List[TransferRecord] = []
         self._in_transit_tasks = 0
@@ -130,8 +124,6 @@ class Network:
         )
         self.records.append(record)
         self._in_transit_tasks += len(batch)
-        if self._on_started is not None:
-            self._on_started(record)
 
         self.env.process(
             self._deliver_after_delay(record, batch),
@@ -146,8 +138,6 @@ class Network:
         record.arrived_at = self.env.now
         self._in_transit_tasks -= record.num_tasks
         self._deliver(record.destination, batch)
-        if self._on_arrived is not None:
-            self._on_arrived(record)
 
 
 def sample_batch_delay(

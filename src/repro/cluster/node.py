@@ -56,9 +56,6 @@ class ComputeElement:
     on_task_completed:
         Callback ``f(node, task)`` invoked at every task completion (used by
         the system for completion detection and statistics).
-    on_queue_change:
-        Callback ``f(node)`` invoked whenever the queue length changes (used
-        for tracing).
     service_time_provider:
         Optional callable ``f(task) -> float`` returning the service time of
         a task.  When omitted the time is drawn from the node's exponential
@@ -76,7 +73,6 @@ class ComputeElement:
         rng: np.random.Generator,
         preemption: str = "resume",
         on_task_completed: Optional[Callable[["ComputeElement", Task], None]] = None,
-        on_queue_change: Optional[Callable[["ComputeElement"], None]] = None,
         service_time_provider: Optional[Callable[[Task], float]] = None,
     ) -> None:
         if preemption not in self._PREEMPTION_MODES:
@@ -102,7 +98,6 @@ class ComputeElement:
         self.busy_time = 0.0
 
         self._on_task_completed = on_task_completed
-        self._on_queue_change = on_queue_change
         self._service_time_provider = service_time_provider
 
         self.service_process = env.process(
@@ -131,7 +126,6 @@ class ComputeElement:
         for task in tasks:
             task.owner = self.index
             self._waiting.append(task)
-        self._notify_queue_change()
         self._wake_service()
 
     def receive(self, tasks: Sequence[Task]) -> None:
@@ -140,7 +134,6 @@ class ComputeElement:
             task.mark_delivered(self.index)
             self._waiting.append(task)
         if tasks:
-            self._notify_queue_change()
             self._wake_service()
 
     def take_tasks(self, count: int) -> List[Task]:
@@ -155,8 +148,6 @@ class ComputeElement:
         taken: List[Task] = []
         while self._waiting and len(taken) < count:
             taken.append(self._waiting.pop())
-        if taken:
-            self._notify_queue_change()
         return taken
 
     # -- failure / recovery interface -------------------------------------------
@@ -234,7 +225,6 @@ class ComputeElement:
             task.mark_completed(now, self.index)
             self._in_service = None
             self.tasks_completed += 1
-            self._notify_queue_change()
             if self._on_task_completed is not None:
                 self._on_task_completed(self, task)
 
@@ -243,10 +233,6 @@ class ComputeElement:
     def _wake_service(self) -> None:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
-
-    def _notify_queue_change(self) -> None:
-        if self._on_queue_change is not None:
-            self._on_queue_change(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -1,32 +1,40 @@
 """The :class:`DistributedSystem` façade: one simulated realisation.
 
-This module wires nodes, failure processes, backup agents and the network
-together and executes one realisation of the workload under a given
-load-balancing policy.  It is the Monte-Carlo counterpart of the paper's
-wireless-LAN experiments: the quantity of interest is the *overall completion
-time*, the instant the last task in the system (queued, in service or in
-transit) finishes.
+One realisation executes the workload under a given load-balancing policy
+and reports the *overall completion time*, the instant the last task in the
+system (queued, in service or in transit) finishes.  It is the Monte-Carlo
+counterpart of the paper's wireless-LAN experiments.
+
+The realisation is one next-event loop over plain per-node state and one
+heap of ``(time, seq, kind, node, payload)`` tuples.  The clocks on the
+heap are each node's service completion, each node's alternating
+failure/recovery clock and each batch in flight; ``seq`` breaks ties at
+one instant in the order the clocks were set.  A node holds a FIFO queue of
+the residual service times of its waiting tasks (``None`` for a task that
+has not been started), so a preempted task keeps its residual wherever a
+policy sends it.  A preempted task's completion entry stays on the heap and
+is dropped when popped: each node remembers the ``seq`` of the completion it
+is waiting for.
+
+Every clock draws from its own named stream, built at its first draw
+(see "Reference stream contract" in ``docs/backends.md``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.cluster.backup import BackupAgent
-from repro.cluster.failure import FailureRecoveryProcess
-from repro.cluster.network import Network, TransferRecord
-from repro.cluster.node import ComputeElement
-from repro.cluster.task import Task
+from repro.cluster.network import TransferRecord, sample_batch_delay
 from repro.cluster.trace import SystemTrace, TraceEvent
 from repro.cluster.workload import Workload
 from repro.core.parameters import SystemParameters
 from repro.core.policies.base import LoadBalancingPolicy, Transfer
-from repro.sim.distributions import Distribution
-from repro.sim.engine import Environment
-from repro.sim.rng import RandomStreams, SeedLike
+from repro.sim.rng import RandomStreams, SeedLike, exponential_draws
 
 
 class IncompleteSimulationError(RuntimeError):
@@ -71,6 +79,12 @@ class SimulationResult:
         return self.busy_time_per_node[node] / self.completion_time
 
 
+# Kinds of heap entries.
+_COMPLETE, _ARRIVE, _FAIL, _RECOVER = range(4)
+
+_PREEMPTION_MODES = ("resume", "restart")
+
+
 class DistributedSystem:
     """A simulated distributed computing system executing one workload.
 
@@ -88,11 +102,11 @@ class DistributedSystem:
     streams:
         A :class:`~repro.sim.rng.RandomStreams` instance (overrides ``seed``).
     preemption:
-        Failure preemption semantics of the nodes (``"resume"``/``"restart"``).
+        What a failure does to the task in service: ``"resume"`` keeps its
+        residual service time, ``"restart"`` redraws it when it restarts.
+        Both are statistically identical for exponential service.
     record_trace:
         Record queue-length trajectories and discrete events (Fig. 4).
-    size_distribution:
-        Optional distribution of abstract task sizes.
     """
 
     def __init__(
@@ -104,7 +118,6 @@ class DistributedSystem:
         streams: Optional[RandomStreams] = None,
         preemption: str = "resume",
         record_trace: bool = False,
-        size_distribution: Optional[Distribution] = None,
     ) -> None:
         self.params = params
         self.policy = policy
@@ -114,71 +127,65 @@ class DistributedSystem:
                 f"workload spans {self.workload.num_nodes} nodes but the system "
                 f"has {params.num_nodes}"
             )
+        if preemption not in _PREEMPTION_MODES:
+            raise ValueError(
+                f"preemption must be one of {_PREEMPTION_MODES}, got {preemption!r}"
+            )
         self.streams = streams if streams is not None else RandomStreams(seed)
-
-        self.env = Environment()
         self.trace = SystemTrace(params.num_nodes) if record_trace else None
+        self._resume = preemption == "resume"
 
+        nodes = params.nodes
+        num_nodes = len(nodes)
+        # ``1 / rate`` is the scale ``Exponential(rate).sample`` draws with.
+        self._service_scales = [1.0 / node.service_rate for node in nodes]
+        self._failure_scales = [
+            1.0 / node.failure_rate if node.failure_rate > 0 else None for node in nodes
+        ]
+        self._recovery_scales = [
+            1.0 / node.recovery_rate if node.recovery_rate > 0 else None
+            for node in nodes
+        ]
+        # Draw functions and the network stream, each built at its first draw.
+        self._service_draws: List[Optional[Callable[[float], float]]] = [None] * num_nodes
+        self._clock_draws: List[Optional[Callable[[float], float]]] = [None] * num_nodes
+        self._network_rng = None
+
+        # -- per-node state --------------------------------------------------
+        self._up = [node.initially_up for node in nodes]
+        self._waiting: List[Deque[Optional[float]]] = [
+            deque([None] * tasks) for tasks in self.workload
+        ]
+        # ``seq`` of the completion entry of the task in service, or None.
+        self._serving: List[Optional[int]] = [None] * num_nodes
+        self._started = [0.0] * num_nodes
+        self._durations = [0.0] * num_nodes
+        self._completed = [0] * num_nodes
+        self._failures = [0] * num_nodes
+        self._recoveries = [0] * num_nodes
+        self._busy_time = [0.0] * num_nodes
+
+        self._heap: list = []
+        self._next_seq = count().__next__
+        self._records: List[TransferRecord] = []
+        self._now = 0.0
         self._outstanding = self.workload.total
-        self._completion_event = self.env.event()
-        if self._outstanding == 0:
-            self._completion_event.succeed(0.0)
 
-        # -- nodes ---------------------------------------------------------
-        self.nodes: List[ComputeElement] = []
-        for index in range(params.num_nodes):
-            node = ComputeElement(
-                env=self.env,
-                index=index,
-                params=params.node(index),
-                rng=self.streams.stream(f"node-{index}.service"),
-                preemption=preemption,
-                on_task_completed=self._on_task_completed,
-                # Queue changes matter only to the trace, so an untraced
-                # run leaves the hook unset.
-                on_queue_change=self._on_queue_change if record_trace else None,
-            )
-            self.nodes.append(node)
-
-        # -- network ---------------------------------------------------------
-        self.network = Network(
-            env=self.env,
-            params=params,
-            rng=self.streams.stream("network.delay"),
-            deliver=self._deliver,
-            on_transfer_started=self._on_transfer_started,
-            on_transfer_arrived=self._on_transfer_arrived,
-        )
-
-        # -- backup agents and failure processes ------------------------------
-        self.backups: List[BackupAgent] = [
-            BackupAgent(node, self.network, params) for node in self.nodes
-        ]
-        self.failure_processes: List[FailureRecoveryProcess] = [
-            FailureRecoveryProcess(
-                env=self.env,
-                node=node,
-                rng=self.streams.stream(f"node-{index}.failure"),
-                on_failure=self._on_failure,
-                on_recovery=self._on_recovery,
-            )
-            for index, node in enumerate(self.nodes)
-        ]
-
-        # -- initial workload and the policy's t = 0 action ---------------------
-        # Unit-size tasks draw nothing: only a size distribution gets a stream.
-        sizes_rng = (
-            None
-            if size_distribution is None
-            else self.streams.stream("workload.sizes")
-        )
-        materialised = self.workload.materialise(
-            rng=sizes_rng, size_distribution=size_distribution
-        )
-        for index, node in enumerate(self.nodes):
-            node.assign_initial(materialised[index])
-
+        # -- the initial workload and the policy's t = 0 action ------------------
+        if self.trace is not None:
+            for index, tasks in enumerate(self.workload):
+                self.trace.record_queue(index, 0.0, tasks)
         self.initial_transfers = self._execute_initial_transfers()
+
+        # -- the clocks at t = 0, after the initial transfers -----------------------
+        for index in range(num_nodes):
+            if not self._up[index]:
+                self._set_clock(index, _RECOVER, self._recovery_scales[index])
+                continue
+            if self._waiting[index]:
+                self._start(index)
+            if self._failure_scales[index] is not None:
+                self._set_clock(index, _FAIL, self._failure_scales[index])
 
     # -- set-up helpers ---------------------------------------------------------
 
@@ -188,83 +195,175 @@ class DistributedSystem:
         for transfer in requested:
             if transfer.is_empty:
                 continue
-            source_node = self.nodes[transfer.source]
-            batch = source_node.take_tasks(transfer.num_tasks)
+            batch = self._take(transfer.source, transfer.num_tasks)
             if not batch:
                 continue
-            self.network.transfer(
-                transfer.source, transfer.destination, batch, reason="initial"
-            )
+            self._ship(transfer.source, transfer.destination, batch, "initial")
             executed.append(
                 Transfer(transfer.source, transfer.destination, len(batch))
             )
         return executed
 
-    # -- event plumbing -----------------------------------------------------------
+    # -- clocks -------------------------------------------------------------------
 
-    def _deliver(self, destination: int, tasks: List[Task]) -> None:
-        self.nodes[destination].receive(tasks)
+    def _start(self, node: int) -> None:
+        """Start the task at the head of ``node``'s queue (the loop inlines this)."""
+        residual = self._waiting[node].popleft()
+        if residual is None:
+            draw = self._service_draws[node] or self._service_draw(node)
+            residual = draw(self._service_scales[node])
+        self._started[node] = self._now
+        self._durations[node] = residual
+        seq = self._next_seq()
+        self._serving[node] = seq
+        heappush(self._heap, (self._now + residual, seq, _COMPLETE, node, None))
 
-    def _on_task_completed(self, node: ComputeElement, task: Task) -> None:
-        self._outstanding -= 1
-        if self.trace is not None:
-            self.trace.record_event(
-                TraceEvent(self.env.now, "task_completed", node=node.index)
-            )
-        if self._outstanding == 0 and not self._completion_event.triggered:
-            self._completion_event.succeed(self.env.now)
-            if self.trace is not None:
-                self.trace.record_event(TraceEvent(self.env.now, "completion"))
+    def _service_draw(self, node: int) -> Callable[[float], float]:
+        draw = exponential_draws(self.streams.stream(f"node-{node}.service"))
+        self._service_draws[node] = draw
+        return draw
 
-    def _on_queue_change(self, node: ComputeElement) -> None:
-        self.trace.record_queue(node.index, self.env.now, node.queue_length)
+    def _set_clock(self, node: int, kind: int, scale: float) -> None:
+        """Set ``node``'s failure or recovery clock from the current instant."""
+        draw = self._clock_draws[node]
+        if draw is None:
+            draw = exponential_draws(self.streams.stream(f"node-{node}.failure"))
+            self._clock_draws[node] = draw
+        heappush(self._heap, (self._now + draw(scale), self._next_seq(), kind, node, None))
 
-    def _on_failure(self, node: ComputeElement, time: float) -> None:
-        if self.trace is not None:
-            self.trace.record_event(TraceEvent(time, "failure", node=node.index))
-        queue_sizes = self.queue_sizes()
-        self.backups[node.index].handle_failure(self.policy, queue_sizes, time)
+    # -- transfers ------------------------------------------------------------------
 
-    def _on_recovery(self, node: ComputeElement, time: float) -> None:
-        if self.trace is not None:
-            self.trace.record_event(TraceEvent(time, "recovery", node=node.index))
-        requested = self.policy.on_recovery(
-            node.index, self.queue_sizes(), self.params, time=time
+    def _take(self, node: int, num_tasks: int) -> List[Optional[float]]:
+        """Remove up to ``num_tasks`` *waiting* tasks of ``node``, newest first.
+
+        The task in service is never taken: its execution context lives on
+        the node (the paper's backup system restores it after a recovery).
+        """
+        if num_tasks < 0:
+            raise ValueError(f"num_tasks must be >= 0, got {num_tasks!r}")
+        queue = self._waiting[node]
+        taken = [queue.pop() for _ in range(min(num_tasks, len(queue)))]
+        if taken and self.trace is not None:
+            self.trace.record_queue(node, self._now, self._queue_length(node))
+        return taken
+
+    def _ship(
+        self, source: int, destination: int, batch: List[Optional[float]], reason: str
+    ) -> None:
+        """Put ``batch`` on the network, to arrive after a random delay."""
+        rng = self._network_rng
+        if rng is None:
+            rng = self._network_rng = self.streams.stream("network.delay")
+        delay = sample_batch_delay(
+            self.params.delay_model(source, destination), len(batch), rng
         )
-        for transfer in requested:
-            batch = self.nodes[transfer.source].take_tasks(transfer.num_tasks)
-            if batch:
-                self.network.transfer(
-                    transfer.source, transfer.destination, batch, reason="recovery"
-                )
-
-    def _on_transfer_started(self, record: TransferRecord) -> None:
+        record = TransferRecord(
+            source=source,
+            destination=destination,
+            num_tasks=len(batch),
+            started_at=self._now,
+            delay=delay,
+            reason=reason,
+        )
+        self._records.append(record)
         if self.trace is not None:
             self.trace.record_event(
                 TraceEvent(
-                    record.started_at,
+                    self._now,
                     "transfer_started",
-                    node=record.source,
-                    detail=f"{record.num_tasks} tasks to node {record.destination}",
+                    node=source,
+                    detail=f"{record.num_tasks} tasks to node {destination}",
                 )
             )
+        heappush(
+            self._heap,
+            (self._now + delay, self._next_seq(), _ARRIVE, destination, (record, batch)),
+        )
 
-    def _on_transfer_arrived(self, record: TransferRecord) -> None:
+    # -- rare events --------------------------------------------------------------------
+
+    def _arrive(self, node: int, record: TransferRecord, batch: List[Optional[float]]) -> None:
+        record.arrived_at = self._now
+        self._waiting[node].extend(batch)
         if self.trace is not None:
+            self.trace.record_queue(node, self._now, self._queue_length(node))
             self.trace.record_event(
                 TraceEvent(
-                    record.arrived_at,
+                    self._now,
                     "transfer_arrived",
-                    node=record.destination,
+                    node=node,
                     detail=f"{record.num_tasks} tasks from node {record.source}",
                 )
             )
+        # A batch delivered to a down node waits for its recovery.
+        if self._up[node] and self._serving[node] is None:
+            self._start(node)
+
+    def _fail(self, node: int) -> None:
+        now = self._now
+        self._up[node] = False
+        self._failures[node] += 1
+        if self.trace is not None:
+            self.trace.record_event(TraceEvent(now, "failure", node=node))
+        # The policy sees the task in service in the failed node's queue,
+        # but the backup may ship only waiting tasks.
+        requested = self.policy.on_failure(
+            node, self.queue_sizes(), self.params, time=now
+        )
+        for transfer in requested:
+            if transfer.source != node:
+                raise ValueError(
+                    "a failure-time transfer can only ship tasks away from the "
+                    f"failed node (policy requested {transfer.source} -> "
+                    f"{transfer.destination})"
+                )
+            if transfer.is_empty:
+                continue
+            batch = self._take(node, transfer.num_tasks)
+            if not batch:
+                break
+            self._ship(node, transfer.destination, batch, "failure-compensation")
+        # Only now is the task in service preempted: it goes back to the
+        # head of the queue with its residual.
+        if self._serving[node] is not None:
+            elapsed = now - self._started[node]
+            self._busy_time[node] += elapsed
+            residual = max(self._durations[node] - elapsed, 0.0)
+            self._waiting[node].appendleft(residual if self._resume else None)
+            self._serving[node] = None
+        self._set_clock(node, _RECOVER, self._recovery_scales[node])
+
+    def _recover(self, node: int) -> None:
+        now = self._now
+        self._up[node] = True
+        self._recoveries[node] += 1
+        if self.trace is not None:
+            self.trace.record_event(TraceEvent(now, "recovery", node=node))
+        # The policy acts before the recovered node restarts its service, so
+        # it may take every waiting task, the preempted one included.
+        requested = self.policy.on_recovery(
+            node, self.queue_sizes(), self.params, time=now
+        )
+        for transfer in requested:
+            batch = self._take(transfer.source, transfer.num_tasks)
+            if batch:
+                self._ship(transfer.source, transfer.destination, batch, "recovery")
+        if self._failure_scales[node] is not None:
+            self._set_clock(node, _FAIL, self._failure_scales[node])
+        if self._waiting[node]:
+            self._start(node)
 
     # -- observation --------------------------------------------------------------
 
+    def _queue_length(self, node: int) -> int:
+        return len(self._waiting[node]) + (self._serving[node] is not None)
+
     def queue_sizes(self) -> Tuple[int, ...]:
         """Current queue length (waiting + in service) of every node."""
-        return tuple(node.queue_length for node in self.nodes)
+        return tuple(
+            len(queue) + (serving is not None)
+            for queue, serving in zip(self._waiting, self._serving)
+        )
 
     @property
     def tasks_outstanding(self) -> int:
@@ -279,34 +378,83 @@ class DistributedSystem:
         Parameters
         ----------
         horizon:
-            Optional wall-clock bound on simulated time.  If the workload has
-            not completed by then an :class:`IncompleteSimulationError` is
+            Optional bound on simulated time.  If the workload has not
+            completed by then an :class:`IncompleteSimulationError` is
             raised (this guards against parameterisations where completion is
             impossible, e.g. a permanently failed node holding tasks).
         """
-        if horizon is not None:
-            timeout = self.env.timeout(horizon)
-            self.env.run(until=self.env.any_of([self._completion_event, timeout]))
-            if not self._completion_event.triggered:
+        if horizon is not None and horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon!r}")
+        limit = inf if horizon is None else horizon
+        heap = self._heap
+        waiting = self._waiting
+        serving = self._serving
+        started = self._started
+        durations = self._durations
+        completed = self._completed
+        busy_time = self._busy_time
+        service_draws = self._service_draws
+        service_scales = self._service_scales
+        next_seq = self._next_seq
+        trace = self.trace
+        outstanding = self._outstanding
+        time = self._now
+        while outstanding:
+            time, seq, kind, node, payload = heappop(heap)
+            if time > limit:
+                self._outstanding = outstanding
                 raise IncompleteSimulationError(
                     f"workload incomplete after horizon={horizon} "
-                    f"({self._outstanding} tasks outstanding)"
+                    f"({outstanding} tasks outstanding)"
                 )
-            completion_time = float(self._completion_event.value)
-        else:
-            completion_time = float(self.env.run(until=self._completion_event))
+            if kind == _COMPLETE:
+                if serving[node] != seq:
+                    continue  # the completion of a preempted task
+                busy_time[node] += time - started[node]
+                completed[node] += 1
+                outstanding -= 1
+                queue = waiting[node]
+                if trace is not None:
+                    trace.record_queue(node, time, len(queue))
+                    trace.record_event(TraceEvent(time, "task_completed", node=node))
+                    if not outstanding:
+                        trace.record_event(TraceEvent(time, "completion"))
+                if queue:
+                    # ``_start``, inlined: this is one step per task.
+                    residual = queue.popleft()
+                    if residual is None:
+                        draw = service_draws[node] or self._service_draw(node)
+                        residual = draw(service_scales[node])
+                    started[node] = time
+                    durations[node] = residual
+                    seq = next_seq()
+                    serving[node] = seq
+                    heappush(heap, (time + residual, seq, _COMPLETE, node, None))
+                else:
+                    serving[node] = None
+                continue
+            self._now = time
+            self._outstanding = outstanding
+            if kind == _ARRIVE:
+                self._arrive(node, *payload)
+            elif kind == _FAIL:
+                self._fail(node)
+            else:
+                self._recover(node)
+        self._now = time
+        self._outstanding = outstanding
 
         return SimulationResult(
-            completion_time=completion_time,
+            completion_time=self._now,
             policy_name=self.policy.name,
             workload=tuple(self.workload),
             total_tasks=self.workload.total,
-            tasks_completed_per_node=tuple(n.tasks_completed for n in self.nodes),
-            failures_per_node=tuple(n.failures for n in self.nodes),
-            recoveries_per_node=tuple(n.recoveries for n in self.nodes),
-            busy_time_per_node=tuple(n.busy_time for n in self.nodes),
+            tasks_completed_per_node=tuple(self._completed),
+            failures_per_node=tuple(self._failures),
+            recoveries_per_node=tuple(self._recoveries),
+            busy_time_per_node=tuple(self._busy_time),
             initial_transfers=list(self.initial_transfers),
-            transfer_records=list(self.network.records),
+            transfer_records=list(self._records),
             trace=self.trace,
         )
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -32,16 +33,39 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SummaryStatistics:
-    """Mean, dispersion and confidence interval of a sample."""
+    """Mean, dispersion and confidence interval of a sample.
+
+    The interval is computed at its first use: its Student-t quantile
+    loads ``scipy.special`` (about 16 MiB resident), which a caller that
+    reads only the mean and dispersion never needs.
+    """
 
     n: int
     mean: float
     std: float
     minimum: float
     maximum: float
-    ci_low: float
-    ci_high: float
     confidence_level: float
+
+    @cached_property
+    def _half(self) -> float:
+        if self.n > 1 and self.std > 0:
+            return float(
+                _t_critical(self.confidence_level, self.n)
+                * self.std
+                / math.sqrt(self.n)
+            )
+        return 0.0
+
+    @property
+    def ci_low(self) -> float:
+        """Lower end of the Student-t confidence interval."""
+        return self.mean - self._half
+
+    @property
+    def ci_high(self) -> float:
+        """Upper end of the Student-t confidence interval."""
+        return self.mean + self._half
 
     @property
     def standard_error(self) -> float:
@@ -83,24 +107,12 @@ def summarize(values: Sequence[float], confidence_level: float = 0.95) -> Summar
         raise ValueError("cannot summarise an empty sample")
     if not 0 < confidence_level < 1:
         raise ValueError(f"confidence_level must lie in (0, 1), got {confidence_level!r}")
-    mean = float(data.mean())
-    std = float(data.std(ddof=1)) if data.size > 1 else 0.0
-    if data.size > 1 and std > 0:
-        half = float(
-            _t_critical(confidence_level, data.size)
-            * std
-            / math.sqrt(data.size)
-        )
-    else:
-        half = 0.0
     return SummaryStatistics(
         n=int(data.size),
-        mean=mean,
-        std=std,
+        mean=float(data.mean()),
+        std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
         minimum=float(data.min()),
         maximum=float(data.max()),
-        ci_low=mean - half,
-        ci_high=mean + half,
         confidence_level=confidence_level,
     )
 
@@ -246,24 +258,12 @@ class RunningStatistics:
             raise ValueError(
                 f"confidence_level must lie in (0, 1), got {confidence_level!r}"
             )
-        mean = self.mean
-        std = self.std
-        if self.count > 1 and std > 0:
-            half = float(
-                _t_critical(confidence_level, self.count)
-                * std
-                / math.sqrt(self.count)
-            )
-        else:
-            half = 0.0
         return SummaryStatistics(
             n=self.count,
-            mean=mean,
-            std=std,
+            mean=self.mean,
+            std=self.std,
             minimum=self.minimum,
             maximum=self.maximum,
-            ci_low=mean - half,
-            ci_high=mean + half,
             confidence_level=confidence_level,
         )
 

@@ -127,18 +127,3 @@ class TestNetwork:
         large = np.mean([network.sample_delay(0, 1, 100) for _ in range(3000)])
         assert large / small == pytest.approx(10.0, rel=0.15)
 
-    def test_callbacks_invoked(self, env, rng):
-        started, arrived = [], []
-        params = make_params()
-        network = Network(
-            env,
-            params,
-            rng,
-            deliver=lambda dst, batch: None,
-            on_transfer_started=lambda record: started.append(record),
-            on_transfer_arrived=lambda record: arrived.append(record),
-        )
-        network.transfer(0, 1, make_tasks(1))
-        assert len(started) == 1 and len(arrived) == 0
-        env.run()
-        assert len(arrived) == 1

@@ -227,13 +227,3 @@ class TestFailureRecovery:
         assert node.tasks_completed == 1
         assert env.now == pytest.approx(5.0)
 
-    def test_queue_change_callback_fires(self, env, rng):
-        changes = []
-        params = NodeParameters(service_rate=1.0)
-        node = ComputeElement(env, 0, params, rng,
-                              on_queue_change=lambda n: changes.append(n.queue_length),
-                              service_time_provider=lambda task: 1.0)
-        node.assign_initial(make_tasks(2))
-        env.run()
-        assert changes[0] == 2          # initial assignment
-        assert changes[-1] == 0         # last completion

@@ -113,6 +113,23 @@ class Rescue(LoadBalancingPolicy):
         return [Transfer(other, recovered_node, queue_sizes[other])]
 
 
+class Evacuate(LoadBalancingPolicy):
+    """Test-only two-node policy: a recovered node ships its whole queue.
+
+    The policy acts before the recovered node restarts its service, so
+    the task a failure preempted leaves with its residual.
+    """
+
+    name = "evacuate"
+
+    def initial_transfers(self, workload, params):
+        return []
+
+    def on_recovery(self, recovered_node, queue_sizes, params, time=0.0):
+        other = 1 - recovered_node
+        return [Transfer(recovered_node, other, queue_sizes[recovered_node])]
+
+
 #: name -> (params, policy, workload, run_batch keyword arguments)
 CASES = {
     "lbp1": (PAPER, LBP1(0.4), (40, 20), {}),
@@ -131,9 +148,6 @@ CASES = {
     "zero-delay": (
         paper_parameters(mean_delay_per_task=0.0), LBP2(1.0), (60, 0), {}
     ),
-    "size-distribution": (
-        PAPER, LBP1(0.4), (40, 20), {"size_distribution": Uniform(0.5, 1.5)}
-    ),
     "trace": (PAPER, LBP2(1.0), (40, 20), {"record_trace": True}),
     "horizon": (PAPER, LBP2(1.0), (40, 20), {"horizon": 10_000.0}),
     "three-node": (THREE_NODES, LBP2(1.0), (30, 10, 20), {}),
@@ -143,6 +157,7 @@ CASES = {
     ),
     "pairwise-delays": (PAIRWISE_DELAYS, LBP2(1.0), (40, 20), {}),
     "rescue": (CHURN, Rescue(), (40, 20), {}),
+    "evacuate": (CHURN, Evacuate(), (40, 20), {}),
     "lbp2-restart": (PAPER, LBP2(1.0), (40, 20), {"preemption": "restart"}),
     "zero-delay-trace": (
         paper_parameters(mean_delay_per_task=0.0), LBP2(1.0), (60, 0),
@@ -165,6 +180,10 @@ GOLDEN = {
     "erlang-delay": (
         "543e5a216573a153537896064ba9ac7914640f07e954694f20c799f4eb6c0cc2",
         "7bfd633b9d61a02bffee4c6514e2cffb72778289cc8538fa3ab4087d4ad1d393",
+    ),
+    "evacuate": (
+        "5f9e003eddcb2806b9ea0e05b676cb5f721e323c6394869f5afdad5cdda35078",
+        "40a142a6d7e0d02c70582b006f9646f9cb5d7617cdb6121f1070d4e0d2ded955",
     ),
     "failure-free": (
         "b6470df6621f4e4ef3dfcadef1f013a98810d5be8e76577bbbfc729fbe8a4f31",
@@ -213,10 +232,6 @@ GOLDEN = {
     "send-all": (
         "e43bf484d7dcc78f33f644a06f0f50286280fca06e79e2b16744175032366e8a",
         "0db19bbb32eb33926049e53af8844c5568c4300e9c0787178aa73436f91b8332",
-    ),
-    "size-distribution": (
-        "fc503a3b9bda5b99b108e93b9c90cd9df743e22dc9c4b376cb3770f8c4c14f62",
-        "b617d74fad0a3772b97dce1de74de6450e740e8c0ccfddd275acee8c0bca8d76",
     ),
     "starts-down": (
         "0026c204897744a098253760cf632018e625fa1825f7f58649e5dd23e52f931c",

@@ -12,9 +12,14 @@ from repro.cluster.system import (
     simulate_once,
 )
 from repro.cluster.workload import Workload
-from repro.core.parameters import NodeParameters, SystemParameters, TransferDelayModel
+from repro.core.parameters import (
+    NodeParameters,
+    SystemParameters,
+    TransferDelayModel,
+    paper_parameters,
+)
 from repro.core.policies import LBP1, LBP2, NoBalancing, SendAllOnFailure
-from repro.sim.distributions import Uniform
+from repro.core.policies.base import LoadBalancingPolicy, Transfer
 
 
 class TestBasicRuns:
@@ -46,12 +51,26 @@ class TestBasicRuns:
         system = DistributedSystem(fast_params, NoBalancing(), (5, 5), seed=0)
         assert "workload.sizes" not in system.streams
 
-    def test_size_distribution_draws_from_its_own_stream(self, fast_params):
-        system = DistributedSystem(
-            fast_params, NoBalancing(), (5, 5), seed=0,
-            size_distribution=Uniform(0.5, 1.5),
+    def test_each_stream_is_built_at_its_first_draw(self):
+        # No failure clock and no transfer: only the service streams.
+        quiet = DistributedSystem(
+            paper_parameters(with_failures=False), NoBalancing(), (5, 5), seed=0
         )
-        assert "workload.sizes" in system.streams
+        quiet.run()
+        assert sorted(quiet.streams.names()) == ["node-0.service", "node-1.service"]
+        busy = DistributedSystem(paper_parameters(), LBP1(0.4), (40, 20), seed=0)
+        busy.run()
+        assert sorted(busy.streams.names()) == [
+            "network.delay",
+            "node-0.failure",
+            "node-0.service",
+            "node-1.failure",
+            "node-1.service",
+        ]
+
+    def test_unknown_preemption_mode_rejected(self, fast_params):
+        with pytest.raises(ValueError, match="preemption"):
+            DistributedSystem(fast_params, NoBalancing(), (5, 5), preemption="drop")
 
     def test_accepts_workload_object(self, fast_params):
         result = simulate_once(fast_params, NoBalancing(), Workload((5, 5)), seed=0)
@@ -119,6 +138,19 @@ class TestPolicyExecution:
         ]
         assert compensation, "the failing node should have shipped its queue"
         assert result.total_completed == 50
+
+    def test_failure_time_transfer_from_another_node_rejected(self, fast_params):
+        class StealOnFailure(LoadBalancingPolicy):
+            name = "steal"
+
+            def initial_transfers(self, workload, params):
+                return []
+
+            def on_failure(self, failed_node, queue_sizes, params, time=0.0):
+                return [Transfer(1 - failed_node, failed_node, 1)]
+
+        with pytest.raises(ValueError, match="away from"):
+            simulate_once(fast_params, StealOnFailure(), (200, 200), seed=0)
 
     def test_conservation_of_tasks(self, fast_params):
         """No tasks are created or lost by transfers, failures or recoveries."""

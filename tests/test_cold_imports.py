@@ -86,3 +86,17 @@ def test_rendering_a_table_loads_no_scipy_stats(tmp_path):
         "assert 'repro.analysis.fitting' not in sys.modules\n",
         tmp_path,
     )
+
+
+def test_mean_and_dispersion_of_an_estimate_load_no_scipy(tmp_path):
+    # Only the confidence interval needs the t quantile.
+    probe(
+        "from repro.montecarlo.statistics import RunningStatistics, summarize\n"
+        "for summary in (summarize([1.0, 2.0, 4.0]),\n"
+        "                RunningStatistics.from_values([1.0, 2.0, 4.0]).to_summary()):\n"
+        "    assert (summary.n, summary.mean) == (3, 7.0 / 3.0)\n"
+        "    assert summary.std > 0 and summary.standard_error > 0\n" + NO_SCIPY
+        + "assert summary.ci_low < summary.mean < summary.ci_high\n"
+        "assert 'scipy.special' in sys.modules\n",
+        tmp_path,
+    )
