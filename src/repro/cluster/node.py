@@ -1,12 +1,11 @@
-"""Computing elements (nodes) with exponential service and preemptible failures.
+"""Computing elements (nodes) of the test-bed emulation, preemptible by failures.
 
 A :class:`ComputeElement` owns a FIFO queue of tasks and a service process
-that draws an exponential service time per task (rate ``λ_d``).  The service
-process is preempted when the node's failure process signals a failure and
-resumes (with the saved residual work, mirroring the paper's backup/context
-mechanism) when the node recovers.  Because the service law is exponential,
-resuming and restarting are statistically equivalent; both semantics are
-available for sensitivity studies.
+that runs each task for the time its ``service_time_provider`` returns
+(the test-bed's application layer supplies the size-driven execution
+time).  The service process is preempted when the node's failure injector
+signals a failure and resumes the task with its saved residual work
+(mirroring the paper's backup/context mechanism) when the node recovers.
 """
 
 from __future__ import annotations
@@ -15,15 +14,11 @@ import enum
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence
 
-import numpy as np
-
-from repro.cluster.task import Task, TaskState
+from repro.cluster.task import Task
 from repro.core.parameters import NodeParameters
-from repro.sim.distributions import Exponential
 from repro.sim.engine import Environment
 from repro.sim.events import Timeout
 from repro.sim.exceptions import Interrupt
-from repro.sim.rng import exponential_draws
 
 
 class NodeState(enum.Enum):
@@ -34,7 +29,7 @@ class NodeState(enum.Enum):
 
 
 class ComputeElement:
-    """One node of the distributed system.
+    """One node of the emulated test-bed.
 
     Parameters
     ----------
@@ -44,48 +39,26 @@ class ComputeElement:
         Node index within the system.
     params:
         Stochastic parameters (:class:`~repro.core.parameters.NodeParameters`).
-    rng:
-        Random stream used for the service times of this node.  The node
-        draws its exponential service times from it in chunks (see
-        :func:`~repro.sim.rng.exponential_draws`), so it must be the node's
-        own stream.
-    preemption:
-        ``"resume"`` (default) keeps the residual service requirement of a
-        task interrupted by a failure; ``"restart"`` redraws it at recovery.
-        Both are statistically identical for exponential service.
+    service_time_provider:
+        Callable ``f(task) -> float`` returning the service time of a task
+        that starts fresh; a task a failure preempted resumes its residual.
     on_task_completed:
         Callback ``f(node, task)`` invoked at every task completion (used by
-        the system for completion detection and statistics).
-    service_time_provider:
-        Optional callable ``f(task) -> float`` returning the service time of
-        a task.  When omitted the time is drawn from the node's exponential
-        service law; the test-bed emulation supplies the application layer's
-        size-driven execution time instead.
+        the emulation for completion detection and statistics).
     """
-
-    _PREEMPTION_MODES = ("resume", "restart")
 
     def __init__(
         self,
         env: Environment,
         index: int,
         params: NodeParameters,
-        rng: np.random.Generator,
-        preemption: str = "resume",
+        service_time_provider: Callable[[Task], float],
         on_task_completed: Optional[Callable[["ComputeElement", Task], None]] = None,
-        service_time_provider: Optional[Callable[[Task], float]] = None,
     ) -> None:
-        if preemption not in self._PREEMPTION_MODES:
-            raise ValueError(
-                f"preemption must be one of {self._PREEMPTION_MODES}, got {preemption!r}"
-            )
         self.env = env
         self.index = index
         self.params = params
         self.name = params.name or f"node-{index}"
-        self.rng = rng
-        self.preemption = preemption
-        self.service_distribution = Exponential(params.service_rate)
 
         self.state = NodeState.UP if params.initially_up else NodeState.DOWN
         self._waiting: Deque[Task] = deque()
@@ -175,12 +148,7 @@ class ComputeElement:
         # Loop invariants, hoisted: this loop runs once per task.
         env = self.env
         waiting = self._waiting
-        resume = self.preemption == "resume"
         provider = self._service_time_provider
-        # ``mean`` is the very ``1 / rate`` that ``Exponential.sample`` scales
-        # by, so these are its draws, bit for bit.
-        draw = exponential_draws(self.rng)
-        scale = self.service_distribution.mean
         while True:
             # Block until there is work *and* the node is up.
             while not waiting or self.state is NodeState.DOWN:
@@ -198,12 +166,10 @@ class ComputeElement:
             task.mark_in_service()
             self._in_service = task
 
-            if task.remaining_service is not None and resume:
+            if task.remaining_service is not None:
                 service_time = task.remaining_service
-            elif provider is not None:
-                service_time = float(provider(task))
             else:
-                service_time = draw(scale)
+                service_time = float(provider(task))
 
             start = env._now
             try:
@@ -213,8 +179,7 @@ class ComputeElement:
                 # task back to the head of the queue.
                 elapsed = env._now - start
                 self.busy_time += elapsed
-                remaining = max(service_time - elapsed, 0.0)
-                task.mark_preempted(remaining if resume else None)
+                task.mark_preempted(max(service_time - elapsed, 0.0))
                 waiting.appendleft(task)
                 self._in_service = None
                 continue

@@ -2,11 +2,11 @@
 
 In the paper's test-bed application a task is "the multiplication of one row
 by a static matrix duplicated on all nodes", with the arithmetic precision of
-each element (and therefore the task size) drawn at random.  The simulator
-does not execute the multiplication — service times are drawn from the
-node's exponential service law — but each task still carries a ``size``
-attribute so the test-bed emulation (:mod:`repro.testbed.application`) can
-run the real computation when calibrating Fig. 1/2.
+each element (and therefore the task size) drawn at random.  :class:`Task`
+objects serve the test-bed emulation, whose application layer
+(:mod:`repro.testbed.application`) derives each task's execution time from
+its ``size``.  The simulators keep no task objects: their queues hold the
+tasks' residual service times.
 """
 
 from __future__ import annotations

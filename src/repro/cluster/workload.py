@@ -2,22 +2,18 @@
 
 The paper's experiments always start from a fixed vector
 ``(m_1, m_2)`` of task counts (e.g. ``(100, 60)`` for Fig. 3, the five
-workloads of Tables 1 and 2).  :class:`Workload` materialises such a vector
-into concrete :class:`~repro.cluster.task.Task` objects, optionally with
-randomised task sizes mimicking the randomised arithmetic precision of the
-test-bed application.
+workloads of Tables 1 and 2).  :class:`Workload` is such a vector,
+validated; the simulator queues that many unstarted tasks per node, and
+the test-bed emulation draws its tasks' sizes itself
+(:class:`~repro.testbed.application.MatrixWorkloadGenerator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.cluster.task import Task
 from repro.core.parameters import validate_workload
-from repro.sim.distributions import Distribution
 
 
 @dataclass(frozen=True)
@@ -47,45 +43,6 @@ class Workload:
         """The workload with the node order reversed (used in symmetry tests)."""
         return Workload(tuple(reversed(self.counts)))
 
-    def materialise(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        size_distribution: Optional[Distribution] = None,
-    ) -> Dict[int, List[Task]]:
-        """Create concrete :class:`Task` objects for every node.
-
-        Parameters
-        ----------
-        rng:
-            Generator used to draw task sizes, one per task in task-id
-            order (only used with a ``size_distribution``).
-        size_distribution:
-            Distribution of the abstract task size; without one every task
-            has unit size and no generator is needed.
-        """
-        tasks: Dict[int, List[Task]] = {}
-        task_id = 0
-        if size_distribution is None:
-            for node, count in enumerate(self.counts):
-                tasks[node] = [Task(task_id + i, node) for i in range(count)]
-                task_id += count
-            return tasks
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for node, count in enumerate(self.counts):
-            node_tasks = []
-            for _ in range(count):
-                node_tasks.append(
-                    Task(
-                        task_id=task_id,
-                        origin=node,
-                        size=float(size_distribution.sample(rng)),
-                    )
-                )
-                task_id += 1
-            tasks[node] = node_tasks
-        return tasks
-
     def __iter__(self):
         return iter(self.counts)
 
@@ -94,16 +51,6 @@ class Workload:
 
     def __getitem__(self, node: int) -> int:
         return self.counts[node]
-
-
-def generate_workload(
-    counts: Sequence[int],
-    rng: Optional[np.random.Generator] = None,
-    size_distribution: Optional[Distribution] = None,
-) -> Tuple[Workload, Dict[int, List[Task]]]:
-    """Convenience helper: build a :class:`Workload` and materialise it."""
-    workload = Workload(tuple(counts))
-    return workload, workload.materialise(rng=rng, size_distribution=size_distribution)
 
 
 #: The workload highlighted in the paper's Fig. 3/4 and Table 3 discussion.

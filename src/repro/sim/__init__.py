@@ -1,10 +1,13 @@
 """Discrete-event simulation (DES) engine.
 
 This subpackage is a self-contained, generator-based discrete-event
-simulation kernel in the style of SimPy.  It is the substrate on which the
-distributed-computing system of the paper (compute elements, failure and
-recovery processes, load-transfer channels, the three-layer test-bed
-emulation) is built.
+simulation kernel in the style of SimPy.  Its event kernel (``engine``,
+``events``, ``process``, ``resources``) is the substrate of the
+three-layer test-bed emulation (:mod:`repro.testbed`, with the compute
+elements of :mod:`repro.cluster.node`).  The simulators of the model,
+:class:`~repro.cluster.system.DistributedSystem` and
+:class:`~repro.core.arrivals.DynamicSystem`, are next-event loops of their
+own and use only ``rng`` and ``distributions`` from here.
 
 The main entry point is :class:`~repro.sim.engine.Environment`::
 

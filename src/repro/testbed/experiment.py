@@ -176,9 +176,8 @@ class TestbedExperiment:
                 env=self.env,
                 index=index,
                 params=params.node(index),
-                rng=self.streams.stream(f"testbed.node-{index}.service"),
-                on_task_completed=self._on_task_completed,
                 service_time_provider=application.execution_time,
+                on_task_completed=self._on_task_completed,
             )
             comm = CommunicationLayer(self.env, index, self.channel, params.num_nodes)
             comm.bind_data_handler(self._deliver_tasks)

@@ -9,11 +9,11 @@ recovery time and waits for that amount of time before sending a new signal
 
 :class:`FailureInjector` is exactly that process for one emulated node: it
 draws exponential failure and recovery times and delivers *stop* / *resume*
-signals.  It is a thin, architecture-faithful wrapper around the same
-mechanics :class:`repro.cluster.failure.FailureRecoveryProcess` provides for
-the plain Monte-Carlo model, but it signals the test-bed's balancer layer
-(which then involves the backup system) rather than calling into the system
-object directly.
+signals.  The simulators' failure/recovery clocks
+(:mod:`repro.cluster.system`, :mod:`repro.core.arrivals`) alternate the
+same exponential up and down times, but the injector signals the
+test-bed's balancer layer (which then involves the backup system) rather
+than acting on a node's state directly.
 """
 
 from __future__ import annotations

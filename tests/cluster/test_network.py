@@ -1,12 +1,13 @@
-"""Tests for the transfer network and its delay models."""
+"""Tests for the batch-transfer delay models and the batches on the network."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.network import Network, sample_batch_delay
-from repro.cluster.task import Task, TaskState
+from repro.cluster.network import sample_batch_delay
+from repro.cluster.system import DistributedSystem
 from repro.core.parameters import NodeParameters, SystemParameters, TransferDelayModel
-from repro.sim.engine import Environment
+from repro.core.policies import LBP1
+from repro.core.policies.base import LoadBalancingPolicy, Transfer
 
 
 def make_params(kind="exponential", per_task=0.02, overhead=0.0):
@@ -16,10 +17,6 @@ def make_params(kind="exponential", per_task=0.02, overhead=0.0):
             mean_delay_per_task=per_task, fixed_overhead=overhead, kind=kind
         ),
     )
-
-
-def make_tasks(count):
-    return [Task(task_id=i, origin=0) for i in range(count)]
 
 
 class TestSampleBatchDelay:
@@ -53,77 +50,39 @@ class TestSampleBatchDelay:
 
 
 class TestNetwork:
-    def make_network(self, env, rng, params=None, delivered=None):
-        params = params or make_params()
-        log = delivered if delivered is not None else []
-        network = Network(
-            env=env,
-            params=params,
-            rng=rng,
-            deliver=lambda dst, batch: log.append((env.now, dst, len(batch))),
+    """Batches as the reference simulator puts them on the network."""
+
+    def test_same_source_destination_rejected(self):
+        class ToItself(LoadBalancingPolicy):
+            name = "to-itself"
+
+            def initial_transfers(self, workload, params):
+                return [Transfer(0, 0, 1)]
+
+        with pytest.raises(ValueError, match="same source and destination"):
+            DistributedSystem(make_params(), ToItself(), (5, 0), seed=0)
+
+    def test_delivery_after_delay(self):
+        system = DistributedSystem(
+            make_params(), LBP1(0.4, sender=0, receiver=1), (20, 0), seed=0,
+            record_trace=True,
         )
-        return network, log
-
-    def test_empty_batch_is_ignored(self, env, rng):
-        network, log = self.make_network(env, rng)
-        assert network.transfer(0, 1, []) is None
-        assert network.records == []
-
-    def test_same_source_destination_rejected(self, env, rng):
-        network, _ = self.make_network(env, rng)
-        with pytest.raises(ValueError):
-            network.transfer(0, 0, make_tasks(1))
-
-    def test_delivery_after_delay(self, env, rng):
-        network, log = self.make_network(env, rng)
-        record = network.transfer(0, 1, make_tasks(5))
-        assert network.tasks_in_transit == 5
-        env.run()
-        assert network.tasks_in_transit == 0
-        assert log == [(pytest.approx(record.delay), 1, 5)]
-        assert record.arrived_at == pytest.approx(record.delay)
+        # The 8 shipped tasks are on the network, in no queue.
+        assert system.queue_sizes() == (12, 0)
+        assert system.tasks_outstanding == 20
+        result = system.run()
+        (record,) = result.transfer_records
+        assert (record.source, record.destination, record.num_tasks) == (0, 1, 8)
         assert not record.in_flight
+        assert record.started_at == 0.0
+        assert record.arrived_at == pytest.approx(record.delay)
+        (arrival,) = result.trace.events_of_kind("transfer_arrived")
+        assert (arrival.time, arrival.node) == (record.arrived_at, 1)
+        assert result.tasks_completed_per_node[1] == 8
 
-    def test_tasks_marked_in_transit_then_delivered(self, env, rng):
-        delivered_tasks = []
-        params = make_params()
-        network = Network(
-            env, params, rng, deliver=lambda dst, batch: delivered_tasks.extend(batch)
-        )
-        tasks = make_tasks(3)
-        network.transfer(0, 1, tasks)
-        assert all(task.state is TaskState.IN_TRANSIT for task in tasks)
-        env.run()
-        assert all(task.state is TaskState.IN_TRANSIT for task in delivered_tasks)
-        # the receiving node (not the network) marks delivery; here we just
-        # verify the same objects came out
-        assert delivered_tasks == tasks
-
-    def test_total_transferred_accumulates(self, env, rng):
-        network, _ = self.make_network(env, rng)
-        network.transfer(0, 1, make_tasks(2))
-        network.transfer(1, 0, make_tasks(3), reason="failure-compensation")
-        env.run()
-        assert network.total_transferred == 5
-        assert [record.reason for record in network.records] == [
-            "initial",
-            "failure-compensation",
-        ]
-
-    def test_pairwise_delay_override_used(self, env, rng):
-        params = make_params(per_task=0.02).with_pairwise_delays(
-            [((0, 1), TransferDelayModel(10.0, kind="deterministic"))]
-        )
-        network, log = self.make_network(env, rng, params=params)
-        network.transfer(0, 1, make_tasks(2))
-        env.run()
-        assert env.now == pytest.approx(20.0)
-
-    def test_mean_delay_scales_with_batch_size(self, env):
+    def test_mean_delay_scales_with_batch_size(self):
         rng = np.random.default_rng(3)
-        params = make_params(per_task=0.02)
-        network = Network(env, params, rng, deliver=lambda dst, batch: None)
-        small = np.mean([network.sample_delay(0, 1, 10) for _ in range(3000)])
-        large = np.mean([network.sample_delay(0, 1, 100) for _ in range(3000)])
+        model = make_params(per_task=0.02).delay_model(0, 1)
+        small = np.mean([sample_batch_delay(model, 10, rng) for _ in range(3000)])
+        large = np.mean([sample_batch_delay(model, 100, rng) for _ in range(3000)])
         assert large / small == pytest.approx(10.0, rel=0.15)
-

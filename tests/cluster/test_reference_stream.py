@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.backends.reference import ReferenceBackend
-from repro.cluster.workload import Workload
 from repro.core.parameters import (
     NodeParameters,
     SystemParameters,
@@ -33,8 +32,6 @@ from repro.core.policies import (
     SendAllOnFailure,
 )
 from repro.core.policies.base import LoadBalancingPolicy, Transfer
-from repro.sim.distributions import Uniform
-from repro.sim.rng import RandomStreams
 
 REALISATIONS = 8
 
@@ -365,20 +362,6 @@ def test_one_lbp2_realisation_field_by_field():
     # Python floats, not NumPy scalars.
     assert {type(b) for b in result.busy_time_per_node} == {float}
     assert {type(r.delay) for r in result.transfer_records} == {float}
-
-
-def test_size_stream_draws_one_size_per_task_in_id_order():
-    streams = RandomStreams(_seed()).spawn(2)[1]
-    tasks = Workload((3, 2)).materialise(
-        rng=streams.stream("workload.sizes"), size_distribution=Uniform(0.5, 1.5)
-    )
-    assert [(t.task_id, t.origin, t.size) for n in (0, 1) for t in tasks[n]] == [
-        (0, 0, 0.8514634319105514),
-        (1, 0, 1.1438117383521025),
-        (2, 0, 1.1193777850331754),
-        (3, 1, 0.6617800317552667),
-        (4, 1, 0.9576689307171896),
-    ]
 
 
 def test_trace_case_records_queues():

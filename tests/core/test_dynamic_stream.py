@@ -4,8 +4,8 @@ A :class:`~repro.core.arrivals.DynamicSystem` run is a pure function of its
 root seed: it builds the named streams ``dynamic.arrivals``,
 ``dynamic.node-<i>.service``, ``dynamic.node-<i>.failure`` and
 ``dynamic.network``, every stream takes its draws in a fixed order, and
-events at one instant are handled in a fixed order (see the module
-docstring of :mod:`repro.core.arrivals`).  The digests below pin every
+events at one instant are handled in a fixed order (see the docstrings
+of :mod:`repro.core.arrivals` and its ``DynamicSystem``).  The digests below pin every
 :class:`~repro.core.arrivals.DynamicRunResult` field across the model's
 feature matrix.  The simulator's internals may change only while every
 digest here holds; a changed digest means changed results.
@@ -118,7 +118,9 @@ CASES = {
     "lbp2": (TWO_NODES, LBP2(1.0), ARRIVALS, 400.0),
     "lbp2-no-compensation": (TWO_NODES, LBP2(1.0, compensate=False), ARRIVALS, 400.0),
     "none": (TWO_NODES, NoBalancing(), ARRIVALS, 400.0),
-    "proportional": (TWO_NODES, ProportionalOneShot(), ARRIVALS, 400.0),
+    # On two nodes ProportionalOneShot moves what LBP2(1.0, compensate=False)
+    # moves, so it runs on three.
+    "proportional": (THREE_NODES, ProportionalOneShot(), ARRIVALS, 400.0),
     "send-all": (TWO_NODES, SendAllOnFailure(), ARRIVALS, 400.0),
     "fastest": (
         TWO_NODES, LBP2(1.0),
@@ -198,8 +200,8 @@ GOLDEN = {
         "6877112ca54d56e0bb8a6068babaea5b70886a9b70452762707683a77692b409",
     ),
     "proportional": (
-        "93fc7aef6e27f79d9a84c8f59cccbf7c7efdcbfbe5b6b8742f0e4418f64607f6",
-        "a1b70c9ff483c8fec74939346da88c4b7abc3f854d249c7f2fa5408e95725d60",
+        "650df46c389a82f4cc898f6f44c45990375798ef3763f59fe4f4f65bd834b7a8",
+        "4d21ea14f0c06736709d52f56e09006f8ba24b6c44108d04d73e05b055e2d77a",
     ),
     "send-all": (
         "e08467d104e0f273b8e5657dcf16a35da59943304d786a2813c9d2dc15fa5907",
