@@ -42,7 +42,7 @@ def three_node_system() -> SystemParameters:
 
 def exact_three_node_study() -> None:
     params = three_node_system()
-    workload = (30, 6, 6)
+    workload = (12, 3, 3)
     policies = [NoBalancing(), LBP1(gain=0.5), LBP1(gain=1.0), LBP2(gain=1.0)]
 
     table = Table(["policy", "gain", "exact mean (s)", "MC mean (s)", "CTMC states"],

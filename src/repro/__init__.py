@@ -14,12 +14,12 @@ The package provides:
 * the regeneration-theory analysis of the two-node system: expected overall
   completion time (eq. (4)) and its distribution function (eq. (5))
   (:mod:`repro.core`);
-* a from-scratch discrete-event simulation kernel (:mod:`repro.sim`) and a
-  distributed-system model with failing/recovering nodes and random,
-  load-dependent transfer delays (:mod:`repro.cluster`);
+* a distributed-system model with failing/recovering nodes and random,
+  load-dependent transfer delays (:mod:`repro.cluster`), simulated by a
+  next-event loop on reproducible named random streams (:mod:`repro.sim`);
 * a Monte-Carlo harness (:mod:`repro.montecarlo`);
-* an emulation of the paper's three-layer wireless test-bed
-  (:mod:`repro.testbed`);
+* an emulation of the paper's three-layer wireless test-bed, a next-event
+  loop like the model's simulators (:mod:`repro.testbed`);
 * experiment drivers regenerating every figure and table of the paper's
   evaluation (:mod:`repro.experiments`);
 * pluggable Monte-Carlo execution backends — the event-driven reference
@@ -79,7 +79,7 @@ _EXPORTS = {
         "mc_point_spec",
         "run_engine",
     ),
-    "repro.sim": ("Environment", "RandomStreams"),
+    "repro.sim": ("RandomStreams",),
     "repro.backends": (
         "BackendUnsupportedError",
         "ExecutionBackend",

@@ -1,4 +1,4 @@
-"""Distributed-system model: computing elements, failures, channels.
+"""Distributed-system model: failing nodes, transfer delays, queues.
 
 This subpackage models the distributed computing system of the paper:
 
@@ -10,32 +10,18 @@ This subpackage models the distributed computing system of the paper:
 * :mod:`repro.cluster.network` — load-dependent random transfer delays
   (:func:`~repro.cluster.network.sample_batch_delay`) and transfer records;
 * :mod:`repro.cluster.trace` — queue-length trajectory recording (Fig. 4).
-
-The components built on the :mod:`repro.sim` discrete-event kernel serve
-only the test-bed emulation (:mod:`repro.testbed`):
-
-* :mod:`repro.cluster.node` — computing elements (CEs) whose service times
-  the test-bed's application layer supplies, preemptible by failures;
-* :mod:`repro.cluster.task` — tasks, the smallest unit of work, with their
-  life-cycle.
 """
 
-from repro.cluster.task import Task, TaskState
 from repro.cluster.workload import Workload
-from repro.cluster.node import ComputeElement, NodeState
 from repro.cluster.network import TransferRecord
 from repro.cluster.trace import QueueTrace, SystemTrace
 from repro.cluster.system import DistributedSystem, SimulationResult, simulate_once
 
 __all__ = [
-    "ComputeElement",
     "DistributedSystem",
-    "NodeState",
     "QueueTrace",
     "SimulationResult",
     "SystemTrace",
-    "Task",
-    "TaskState",
     "TransferRecord",
     "Workload",
     "simulate_once",

@@ -5,19 +5,16 @@ The original evaluation ran on two physical hosts connected by an IEEE
 layers: *application* (randomised matrix–row multiplication tasks),
 *communication* (UDP state-information exchange + TCP data transfer) and
 *load-balancing / failure*.  That hardware is not available here, so this
-package re-creates the same architecture on top of the discrete-event
-kernel:
+package re-creates the same architecture as a next-event loop, like the
+model's simulators:
 
 * :mod:`repro.testbed.application` — the matrix-multiplication application
   layer with randomised task sizes (and an optional real NumPy execution
   path used in the calibration example);
-* :mod:`repro.testbed.communication` — message formats and the emulated
-  UDP/TCP channels, including message loss and a shared wireless medium;
-* :mod:`repro.testbed.balancer` — the load-balancing/failure layer that
-  takes decisions from (possibly stale) exchanged state information;
-* :mod:`repro.testbed.failure_injector` — the failure-injection process;
-* :mod:`repro.testbed.experiment` — orchestration of complete experiments
-  (the "Exp." columns of Tables 1 and 2);
+* :mod:`repro.testbed.experiment` — complete experiments (the "Exp."
+  columns of Tables 1 and 2): one loop whose clocks stand for the
+  application, communication and load-balancing/failure layers and the
+  failure injector;
 * :mod:`repro.testbed.calibration` — the channel-probing and
   processing-speed estimation procedures behind Figs. 1 and 2.
 
@@ -30,19 +27,7 @@ columns of the reproduced tables distinct from (yet close to) the
 Monte-Carlo columns, as in the paper.
 """
 
-from repro.testbed.application import (
-    ApplicationLayer,
-    MatrixWorkloadGenerator,
-    TaskExecution,
-)
-from repro.testbed.communication import (
-    CommunicationLayer,
-    DataMessage,
-    StateInfoMessage,
-    WirelessChannel,
-)
-from repro.testbed.balancer import BalancerLayer
-from repro.testbed.failure_injector import FailureInjector
+from repro.testbed.application import ApplicationLayer, MatrixWorkloadGenerator
 from repro.testbed.experiment import TestbedConfig, TestbedExperiment, TestbedResult
 from repro.testbed.calibration import (
     CalibrationResult,
@@ -52,18 +37,11 @@ from repro.testbed.calibration import (
 
 __all__ = [
     "ApplicationLayer",
-    "BalancerLayer",
     "CalibrationResult",
-    "CommunicationLayer",
-    "DataMessage",
-    "FailureInjector",
     "MatrixWorkloadGenerator",
-    "StateInfoMessage",
-    "TaskExecution",
     "TestbedConfig",
     "TestbedExperiment",
     "TestbedResult",
-    "WirelessChannel",
     "estimate_delay_model",
     "estimate_processing_rates",
 ]

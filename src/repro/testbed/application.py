@@ -5,42 +5,32 @@ static matrix duplicated on all nodes", and the arithmetic precision of each
 row element is drawn from an exponential distribution so that task sizes —
 and therefore per-task execution times — are random (Section 3, Fig. 1).
 
-The emulation keeps the same structure:
+The emulation keeps the same structure, with a task represented by its size
+(abstract work units) alone:
 
-* :class:`MatrixWorkloadGenerator` creates tasks whose ``size`` (abstract
-  work units) is exponential with mean 1;
+* :class:`MatrixWorkloadGenerator` draws the task sizes, exponential with
+  mean ``mean_size``;
 * a node with service rate ``λ_d`` executes a task of size ``s`` in
-  ``s / λ_d`` simulated seconds, so the per-task execution time is
-  exponential with rate ``λ_d`` — exactly the law the paper fits in Fig. 1;
+  ``s / (mean_size · λ_d)`` emulated seconds, so the per-task execution
+  time is exponential with rate ``λ_d`` — exactly the law the paper fits in
+  Fig. 1;
 * optionally, :meth:`ApplicationLayer.execute_real` really multiplies a row
-  by a static matrix (NumPy) with a row length proportional to the task
-  size, which the calibration example uses to demonstrate the full
+  block by a static matrix (NumPy) with a row length proportional to the
+  task size, which the calibration example uses to demonstrate the full
   measurement-to-model pipeline on genuine computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.task import Task
 from repro.sim.distributions import Exponential
 
 
-@dataclass(frozen=True)
-class TaskExecution:
-    """Record of one executed task."""
-
-    task_id: int
-    node: int
-    size: float
-    execution_time: float
-
-
 class MatrixWorkloadGenerator:
-    """Generates matrix-row tasks with exponentially distributed sizes.
+    """Generates matrix-row task sizes, exponentially distributed.
 
     Parameters
     ----------
@@ -64,24 +54,28 @@ class MatrixWorkloadGenerator:
 
     def generate(
         self, counts: Sequence[int], rng: np.random.Generator
-    ) -> Dict[int, List[Task]]:
-        """Create tasks for every node according to the initial ``counts``."""
-        tasks: Dict[int, List[Task]] = {}
-        task_id = 0
-        for node, count in enumerate(counts):
-            if count < 0:
-                raise ValueError("task counts must be non-negative")
-            node_tasks = []
-            for _ in range(int(count)):
-                size = max(self._size_distribution.sample(rng), 1e-9)
-                node_tasks.append(Task(task_id=task_id, origin=node, size=size))
-                task_id += 1
-            tasks[node] = node_tasks
-        return tasks
+    ) -> List[List[float]]:
+        """Draw the task sizes of every node for the initial ``counts``.
 
-    def row_length(self, task: Task) -> int:
-        """Row length used when actually materialising the task's data."""
-        return max(1, int(round(task.size * self.base_row_length)))
+        The sizes are drawn node by node, one per task, and are at least
+        ``1e-9``.
+        """
+        counts = [int(count) for count in counts]
+        if any(count < 0 for count in counts):
+            raise ValueError("task counts must be non-negative")
+        sizes = np.maximum(
+            self._size_distribution.sample_many(rng, sum(counts)), 1e-9
+        ).tolist()
+        per_node = []
+        start = 0
+        for count in counts:
+            per_node.append(sizes[start : start + count])
+            start += count
+        return per_node
+
+    def row_length(self, size: float) -> int:
+        """Row length used when actually materialising a task of ``size``."""
+        return max(1, int(round(size * self.base_row_length)))
 
 
 class ApplicationLayer:
@@ -89,13 +83,12 @@ class ApplicationLayer:
 
     Parameters
     ----------
-    node_index:
-        Index of the node this layer runs on.
     service_rate:
         The node's processing speed ``λ_d`` in tasks (of mean size) per
         second.
     generator:
-        The workload generator (defines how abstract size maps to real rows).
+        The workload generator (defines the mean size and how abstract size
+        maps to real rows).
     matrix_size:
         Number of columns of the static matrix used by the real execution
         path.
@@ -103,49 +96,26 @@ class ApplicationLayer:
 
     def __init__(
         self,
-        node_index: int,
         service_rate: float,
         generator: Optional[MatrixWorkloadGenerator] = None,
         matrix_size: int = 64,
     ) -> None:
         if service_rate <= 0:
             raise ValueError(f"service_rate must be positive, got {service_rate!r}")
-        self.node_index = node_index
         self.service_rate = float(service_rate)
         self.generator = generator or MatrixWorkloadGenerator()
         self.matrix_size = int(matrix_size)
         self._static_matrix: Optional[np.ndarray] = None
-        self.executions: List[TaskExecution] = []
 
-    # -- simulated execution -----------------------------------------------------
-
-    def execution_time(self, task: Task) -> float:
-        """Simulated execution time of ``task`` on this node.
+    def execution_time(self, size: float) -> float:
+        """Emulated execution time of a task of ``size`` on this node.
 
         A task of size ``s`` (exponential with mean ``mean_size``) takes
-        ``s / (mean_size · λ_d)`` seconds, so the per-task execution time is
+        ``s / (λ_d · mean_size)`` seconds, so the per-task execution time is
         exponential with rate ``λ_d`` — the behaviour measured in Fig. 1 of
         the paper.
         """
-        return task.size / (self.service_rate * self.generator.mean_size)
-
-    def record_execution(self, task: Task, execution_time: float) -> TaskExecution:
-        """Store the execution record (used for calibration histograms)."""
-        record = TaskExecution(
-            task_id=task.task_id,
-            node=self.node_index,
-            size=task.size,
-            execution_time=float(execution_time),
-        )
-        self.executions.append(record)
-        return record
-
-    @property
-    def measured_times(self) -> np.ndarray:
-        """All recorded per-task execution times."""
-        return np.array([record.execution_time for record in self.executions])
-
-    # -- real execution ---------------------------------------------------------------
+        return size / (self.service_rate * self.generator.mean_size)
 
     def _matrix(self, rng: np.random.Generator) -> np.ndarray:
         if self._static_matrix is None:
@@ -156,15 +126,15 @@ class ApplicationLayer:
             )
         return self._static_matrix
 
-    def execute_real(self, task: Task, rng: np.random.Generator) -> np.ndarray:
+    def execute_real(self, size: float, rng: np.random.Generator) -> np.ndarray:
         """Actually multiply a random row block by the static matrix.
 
         The result is returned so callers can verify the computation; the
-        wall-clock duration is *not* used for simulation timing (the DES
-        clock is), this path exists to exercise a genuine computation in the
-        calibration example.
+        wall-clock duration is *not* the emulation's time (the emulated
+        execution time is :meth:`execution_time`), this path exists to
+        exercise a genuine computation in the calibration example.
         """
         matrix = self._matrix(rng)
-        rows = max(1, self.generator.row_length(task) // self.matrix_size)
+        rows = max(1, self.generator.row_length(size) // self.matrix_size)
         block = rng.standard_normal((rows, self.matrix_size))
         return block @ matrix

@@ -81,24 +81,18 @@ def estimate_processing_rates(
     streams = RandomStreams(seed)
     generator = MatrixWorkloadGenerator()
     rng = streams.stream("calibration.workload")
-    tasks = generator.generate([tasks_per_node] * params.num_nodes, rng)
+    sizes = generator.generate([tasks_per_node] * params.num_nodes, rng)
 
     fits: Dict[int, ExponentialFit] = {}
     densities: Dict[int, EmpiricalDensity] = {}
     for index in range(params.num_nodes):
-        application = ApplicationLayer(
-            node_index=index,
-            service_rate=params.node(index).service_rate,
-            generator=generator,
-        )
+        application = ApplicationLayer(params.node(index).service_rate, generator)
         exec_rng = streams.stream(f"calibration.node-{index}")
         times: List[float] = []
-        for task in tasks[index]:
+        for size in sizes[index]:
             if execute_real:
-                application.execute_real(task, exec_rng)
-            duration = application.execution_time(task)
-            application.record_execution(task, duration)
-            times.append(duration)
+                application.execute_real(size, exec_rng)
+            times.append(application.execution_time(size))
         fits[index] = fit_exponential(times)
         densities[index] = empirical_density(times, bins=bins)
     return fits, densities

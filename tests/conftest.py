@@ -13,7 +13,6 @@ from repro.core.parameters import (
     TransferDelayModel,
     paper_parameters,
 )
-from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
 
@@ -46,12 +45,6 @@ def bit_flips():
     (all 8 masks of every byte), yielding ``(index, bit)`` while the
     damaged byte is on disk; a finished sweep leaves the file as it was."""
     return _bit_flips
-
-
-@pytest.fixture
-def env() -> Environment:
-    """A fresh simulation environment."""
-    return Environment()
 
 
 @pytest.fixture

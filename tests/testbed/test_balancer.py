@@ -3,21 +3,20 @@
 import pytest
 
 from repro.core.policies import LBP1, LBP2
+from repro.core.policies.base import Transfer
 from repro.testbed.experiment import TestbedConfig, TestbedExperiment
 
 
 class TestBalancerThroughExperiment:
-    """The balancer layer needs the full wiring; these tests run tiny
-    experiments and inspect the balancer's recorded actions."""
+    """These tests run tiny experiments and inspect the transfers the
+    load-balancing layer executed."""
 
     def test_initial_balancing_executed_once_by_sender_only(self, fast_params):
         experiment = TestbedExperiment(
             fast_params, LBP1(0.5, sender=0, receiver=1), (20, 0), seed=1
         )
-        experiment.run()
-        assert len(experiment.balancers[0].initial_transfers_sent) == 1
-        assert experiment.balancers[0].initial_transfers_sent[0].num_tasks == 10
-        assert experiment.balancers[1].initial_transfers_sent == []
+        result = experiment.run()
+        assert result.initial_transfers == [Transfer(0, 1, 10)]
 
     def test_initial_decision_waits_for_state_exchange(self, fast_params):
         # With a long synchronisation window the t = 0 balancing action (and
@@ -51,7 +50,7 @@ class TestBalancerThroughExperiment:
             fast_params, LBP2(1.0), (10, 40), seed=5,
             config=TestbedConfig(state_loss_probability=0.0),
         )
-        lossless.run()
+        result = lossless.run()
         # Node 1 is overloaded relative to the speed-weighted fair share and sends.
-        assert lossless.balancers[1].initial_transfers_sent
-        assert lossless.balancers[0].initial_transfers_sent == []
+        assert result.initial_transfers
+        assert all(transfer.source == 1 for transfer in result.initial_transfers)
