@@ -509,8 +509,9 @@ class TestbedExperiment:
                 if up[node] and serving[node] is None:
                     self._start(node)
             elif kind == _SYNC:
-                if (payload >= _SYNC_BROADCASTS - 1 and None not in self._heard[node]) or (
-                    payload == _MAX_SYNC_ROUNDS - 1
+                heard_every_peer = None not in self._heard[node]
+                if payload == _MAX_SYNC_ROUNDS - 1 or (
+                    payload >= _SYNC_BROADCASTS - 1 and heard_every_peer
                 ):
                     self._decide(node)
                 else:
