@@ -11,18 +11,35 @@ share:
     seed spawning and the chunked exponential draws of the simulators.
 ``distributions``
     The exponential law (:class:`Exponential`) of the model's random
-    times.
+    times, plus alternatives (deterministic, Erlang, uniform,
+    hyper-exponential, empirical) for sensitivity studies.
 ``monitor``
     :class:`TimeSeriesMonitor`, the piecewise-constant time series behind
-    the queue trajectories of Fig. 4.
+    the queue trajectories of Fig. 4, and :class:`TallyMonitor`, a tally
+    of scalar observations with summary statistics.
 """
 
 from repro.sim.rng import RandomStreams
-from repro.sim.distributions import Exponential
-from repro.sim.monitor import TimeSeriesMonitor
+from repro.sim.distributions import (
+    Deterministic,
+    Distribution,
+    Empirical,
+    Erlang,
+    Exponential,
+    HyperExponential,
+    Uniform,
+)
+from repro.sim.monitor import TallyMonitor, TimeSeriesMonitor
 
 __all__ = [
+    "Deterministic",
+    "Distribution",
+    "Empirical",
+    "Erlang",
     "Exponential",
+    "HyperExponential",
     "RandomStreams",
+    "TallyMonitor",
     "TimeSeriesMonitor",
+    "Uniform",
 ]

@@ -1,11 +1,13 @@
-"""Time-series monitors: record a quantity's trajectory during a simulation.
+"""Monitors: record time series and summary statistics during a simulation.
 
 The queue-trajectory figures of the paper (Fig. 4) are produced from
-:class:`TimeSeriesMonitor` records.
+:class:`TimeSeriesMonitor` records; :class:`TallyMonitor` accumulates scalar
+observations with their summary statistics.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,3 +90,76 @@ class TimeSeriesMonitor:
         values = values[:cut]
         durations = np.diff(times)
         return float(np.sum(values * durations) / (end - times[0]))
+
+
+class TallyMonitor:
+    """Accumulator of scalar observations with summary statistics."""
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self._values: List[float] = []
+
+    def record(self, value: float) -> None:
+        """Add one observation."""
+        if not math.isfinite(value):
+            raise ValueError(f"observation must be finite, got {value!r}")
+        self._values.append(float(value))
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Add several observations."""
+        for value in values:
+            self.record(value)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        """All observations as an array."""
+        return np.asarray(self._values, dtype=float)
+
+    @property
+    def mean(self) -> float:
+        """Sample mean."""
+        if not self._values:
+            raise ValueError("monitor is empty")
+        return float(np.mean(self._values))
+
+    @property
+    def std(self) -> float:
+        """Sample standard deviation (ddof=1; 0 for a single observation)."""
+        if not self._values:
+            raise ValueError("monitor is empty")
+        if len(self._values) == 1:
+            return 0.0
+        return float(np.std(self._values, ddof=1))
+
+    @property
+    def min(self) -> float:
+        if not self._values:
+            raise ValueError("monitor is empty")
+        return float(np.min(self._values))
+
+    @property
+    def max(self) -> float:
+        if not self._values:
+            raise ValueError("monitor is empty")
+        return float(np.max(self._values))
+
+    def standard_error(self) -> float:
+        """Standard error of the mean."""
+        n = len(self._values)
+        if n == 0:
+            raise ValueError("monitor is empty")
+        return self.std / math.sqrt(n)
+
+    def confidence_interval(self, level: float = 0.95) -> Tuple[float, float]:
+        """Normal-approximation confidence interval for the mean."""
+        from scipy import stats
+
+        if not 0 < level < 1:
+            raise ValueError(f"level must be in (0, 1), got {level!r}")
+        if not self._values:
+            raise ValueError("monitor is empty")
+        half = stats.norm.ppf(0.5 + level / 2.0) * self.standard_error()
+        return self.mean - half, self.mean + half

@@ -1,8 +1,9 @@
-"""Tests for the time-series monitor."""
+"""Tests for time-series and tally monitors."""
 
+import numpy as np
 import pytest
 
-from repro.sim.monitor import TimeSeriesMonitor
+from repro.sim.monitor import TallyMonitor, TimeSeriesMonitor
 
 
 class TestTimeSeriesMonitor:
@@ -70,3 +71,52 @@ class TestTimeSeriesMonitor:
         monitor = TimeSeriesMonitor()
         monitor.record(0.0, 3)
         assert monitor.time_average() == pytest.approx(3.0)
+
+
+class TestTallyMonitor:
+    def test_mean_std_min_max(self):
+        tally = TallyMonitor()
+        tally.extend([1.0, 2.0, 3.0, 4.0])
+        assert tally.mean == pytest.approx(2.5)
+        assert tally.min == 1.0
+        assert tally.max == 4.0
+        assert tally.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
+
+    def test_rejects_non_finite(self):
+        tally = TallyMonitor()
+        with pytest.raises(ValueError):
+            tally.record(float("nan"))
+        with pytest.raises(ValueError):
+            tally.record(float("inf"))
+
+    def test_empty_monitor_statistics_rejected(self):
+        tally = TallyMonitor()
+        with pytest.raises(ValueError):
+            _ = tally.mean
+        with pytest.raises(ValueError):
+            _ = tally.std
+        with pytest.raises(ValueError):
+            tally.standard_error()
+
+    def test_single_observation_has_zero_std(self):
+        tally = TallyMonitor()
+        tally.record(5.0)
+        assert tally.std == 0.0
+
+    def test_confidence_interval_contains_mean(self):
+        tally = TallyMonitor()
+        tally.extend(np.random.default_rng(0).normal(10.0, 2.0, size=200))
+        low, high = tally.confidence_interval(0.95)
+        assert low < tally.mean < high
+
+    def test_confidence_interval_level_validated(self):
+        tally = TallyMonitor()
+        tally.record(1.0)
+        with pytest.raises(ValueError):
+            tally.confidence_interval(1.5)
+
+    def test_len_counts_observations(self):
+        tally = TallyMonitor()
+        tally.extend([1.0, 2.0])
+        assert len(tally) == 2
+        assert list(tally.values) == [1.0, 2.0]
